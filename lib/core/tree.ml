@@ -182,11 +182,19 @@ let to_dot ?label t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* Job ids digest this string for every job, so it is built straight
+   into one buffer (no per-node format string or intermediate). *)
 let to_string t =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int (size t));
-  for i = 0 to size t - 1 do
-    Buffer.add_string buf (Printf.sprintf " %d:%d:%d" t.parent.(i) t.f.(i) t.n.(i))
+  let p = size t in
+  let buf = Buffer.create (16 + (12 * p)) in
+  Buffer.add_string buf (string_of_int p);
+  for i = 0 to p - 1 do
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (string_of_int t.parent.(i));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int t.f.(i));
+    Buffer.add_char buf ':';
+    Buffer.add_string buf (string_of_int t.n.(i))
   done;
   Buffer.contents buf
 

@@ -35,6 +35,7 @@ let cache t = t.cache
 
 type report = {
   job : Job.t;
+  id : string;
   result : Job.result;
   wall : float;
   cache_hit : bool;
@@ -65,20 +66,48 @@ let utilization s =
    run to run), so a faulty-but-retried run hashes identically to a
    fault-free one. *)
 let result_pairs reports =
-  Array.to_list (Array.map (fun r -> (Job.id r.job, r.result)) reports)
+  Array.to_list (Array.map (fun r -> (r.id, r.result)) reports)
 
 let results_digest reports = Job.digest_of_results (result_pairs reports)
 let value_digest reports = Job.value_digest_of_results (result_pairs reports)
+
+(* Job ids digest the serialized tree, which costs far more than the
+   digest itself on large trees. The jobs of one manifest line share
+   their tree physically and are claimed in order, so each worker keeps
+   the last tree it serialized, with the id of that tree's MinMem
+   preprocessing job once needed: every tree is serialized once per
+   worker per batch, not once per id. *)
+type last_tree = {
+  tree : Tt_core.Tree.t;
+  serialized : string;
+  mutable pre_id : string option;
+}
+
+let last_tree memo (tree : Tt_core.Tree.t) =
+  match !memo with
+  | Some last when last.tree == tree -> last
+  | _ ->
+      let last = { tree; serialized = Tt_core.Tree.to_string tree; pre_id = None } in
+      memo := Some last;
+      last
+
+let pre_id last =
+  match last.pre_id with
+  | Some id -> id
+  | None ->
+      let id = Job.id_of_serialized last.serialized (Job.Min_memory Job.Minmem) in
+      last.pre_id <- Some id;
+      id
 
 (* One job, through the cache. [Min_io] and [Schedule] jobs route their
    MinMem preprocessing through the cache under the id of the equivalent
    [Min_memory Minmem] job, so it is shared across every job on the same
    tree. Returns the outcome and whether the job's own result was a hit. *)
-let compute_cached t ~cancel (job : Job.t) =
+let compute_cached t ~cancel ~last ~id (job : Job.t) =
   if Job.needs_minmem job then begin
     let pre_job = Job.make job.Job.tree (Job.Min_memory Job.Minmem) in
     let pre, _ =
-      Cache.find_or_compute t.cache ~key:(Job.id pre_job) (fun () ->
+      Cache.find_or_compute t.cache ~key:(pre_id last) (fun () ->
           Job.compute ~cancel pre_job)
     in
     let minmem =
@@ -86,12 +115,10 @@ let compute_cached t ~cancel (job : Job.t) =
       | Job.Memory { peak; order } -> (peak, order)
       | _ -> assert false (* content-addressed: this key is always Memory *)
     in
-    Cache.find_or_compute t.cache ~key:(Job.id job) (fun () ->
+    Cache.find_or_compute t.cache ~key:id (fun () ->
         Job.compute ~cancel ~minmem job)
   end
-  else
-    Cache.find_or_compute t.cache ~key:(Job.id job) (fun () ->
-        Job.compute ~cancel job)
+  else Cache.find_or_compute t.cache ~key:id (fun () -> Job.compute ~cancel job)
 
 let emit_job_event t (r : report) =
   match t.telemetry with
@@ -99,7 +126,7 @@ let emit_job_event t (r : report) =
   | Some sink ->
       let module J = Telemetry.Json in
       Telemetry.emit sink ~event:"job"
-        ([ ("id", J.String (Job.id r.job));
+        ([ ("id", J.String r.id);
            ("label", J.String r.job.Job.label);
            ("spec", J.String (Job.spec_to_string r.job.Job.spec));
            ("wall_s", J.Float r.wall);
@@ -128,8 +155,9 @@ let notify t (r : report) =
    and, while backoff delays remain, sleep and re-roll; the re-roll is
    keyed by the attempt number, so an injected crash does not doom the
    job forever. *)
-let run_one t ~slot (job : Job.t) =
-  let id = Job.id job in
+let run_one t ~slot ~memo (job : Job.t) =
+  let last = last_tree memo job.Job.tree in
+  let id = Job.id_of_serialized last.serialized job.Job.spec in
   let resumed_result =
     match t.completed with
     | Some tbl -> Hashtbl.find_opt tbl id
@@ -138,7 +166,7 @@ let run_one t ~slot (job : Job.t) =
   match resumed_result with
   | Some result ->
       let r =
-        { job; result; wall = 0.; cache_hit = false; domain = slot;
+        { job; id; result; wall = 0.; cache_hit = false; domain = slot;
           attempts = 0; resumed = true }
       in
       notify t r;
@@ -169,7 +197,7 @@ let run_one t ~slot (job : Job.t) =
               | timeout, parent ->
                   Tt_util.Cancel.linked ?parent ?deadline_after:timeout ()
             in
-            let v, hit = compute_cached t ~cancel job in
+            let v, hit = compute_cached t ~cancel ~last ~id job in
             Ok (v, hit)
           with e -> Error e
         in
@@ -196,7 +224,7 @@ let run_one t ~slot (job : Job.t) =
       | None -> ()
       | Some j -> Journal.record j ~id ~label:job.Job.label result);
       let r =
-        { job; result; wall; cache_hit; domain = slot; attempts;
+        { job; id; result; wall; cache_hit; domain = slot; attempts;
           resumed = false }
       in
       notify t r;
@@ -211,10 +239,11 @@ let run_batch t jobs =
   let hits0 = Cache.hits t.cache and misses0 = Cache.misses t.cache in
   let t0 = Unix.gettimeofday () in
   let worker slot =
+    let memo = ref None in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        let r = run_one t ~slot jobs.(i) in
+        let r = run_one t ~slot ~memo jobs.(i) in
         reports.(i) <- Some r;
         busy.(slot) <- busy.(slot) +. r.wall;
         loop ()

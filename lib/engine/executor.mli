@@ -88,6 +88,7 @@ val cache : t -> Job.outcome Cache.t
 
 type report = {
   job : Job.t;
+  id : string;  (** [Job.id job], computed once per run. *)
   result : Job.result;
   wall : float;  (** Seconds spent computing, incl. retries and backoff
                      (≈0 on a cache hit or resumed job). *)

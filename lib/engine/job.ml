@@ -55,8 +55,10 @@ let make ?label tree spec =
 
 let tree_digest tree = Digest.to_hex (Digest.string (T.to_string tree))
 
-let id job =
-  Digest.to_hex (Digest.string (T.to_string job.tree ^ "|" ^ spec_to_string job.spec))
+let id_of_serialized tree spec =
+  Digest.to_hex (Digest.string (tree ^ "|" ^ spec_to_string spec))
+
+let id job = id_of_serialized (T.to_string job.tree) job.spec
 
 (* ------------------------------------------------------------ outcomes *)
 

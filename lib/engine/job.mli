@@ -90,6 +90,11 @@ val tree_digest : Tt_core.Tree.t -> string
 val id : t -> string
 (** Content address: hex digest of tree + spec (label excluded). *)
 
+val id_of_serialized : string -> spec -> string
+(** [id_of_serialized (Tree.to_string tree) spec] is
+    [id (make tree spec)] — for callers that serialize a tree once and
+    derive the ids of several jobs on it. *)
+
 (* ----------------------------------------------------------- outcomes *)
 
 type outcome =

@@ -40,64 +40,183 @@ let float_of ~what s =
 
 (* ------------------------------------------------------------- sources *)
 
+module Pipeline = Tt_workloads.Pipeline
+
+(* Admission caps, checked before anything is allocated: a manifest
+   entry is untrusted input, and one huge source must not take the
+   process down. *)
+let max_dim = 1_000_000
+let max_nnz = 4_000_000
+let max_file_bytes = 16 * 1024 * 1024
+
+type source =
+  | Gen of {
+      kind : string;
+      size : int;
+      seed : int;
+      ordering : Pipeline.ordering;
+      amalgamation : int;
+    }
+  | File of { path : string; ordering : Pipeline.ordering; amalgamation : int }
+  | Literal of string
+
 let ordering_of = function
-  | "natural" -> Tt_workloads.Pipeline.Natural
-  | "rcm" -> Tt_workloads.Pipeline.Rcm
-  | "mindeg" -> Tt_workloads.Pipeline.Min_degree
-  | "nd" -> Tt_workloads.Pipeline.Nested_dissection
+  | "natural" -> Pipeline.Natural
+  | "rcm" -> Pipeline.Rcm
+  | "mindeg" -> Pipeline.Min_degree
+  | "nd" -> Pipeline.Nested_dissection
   | s -> bad "unknown ordering %S" s
 
-let gen_matrix ~kind ~size ~seed =
-  let rng = Tt_util.Rng.create seed in
-  match kind with
-  | "grid2d" -> S.Spgen.grid2d size
-  | "grid9" -> S.Spgen.grid2d_9pt size
-  | "grid3d" -> S.Spgen.grid3d size
-  | "banded" -> S.Spgen.banded ~rng ~n:size ~bandwidth:(max 2 (size / 50)) ~fill:0.4
-  | "random" -> S.Spgen.random_sym ~rng ~n:size ~nnz_per_row:3.0
-  | "arrow" -> S.Spgen.block_arrow ~n:size ~blocks:8 ~border:(max 2 (size / 40))
-  | "powerlaw" -> S.Spgen.power_law ~rng ~n:size ~edges_per_node:2
-  | "tridiagonal" -> S.Spgen.tridiagonal size
-  | other -> bad "unknown matrix kind %S" other
+(* Saturating arithmetic for the size estimates: a hostile [size] must
+   yield "too big", never an overflowed small number. *)
+let ( *! ) a b = if a <> 0 && b > max_int / a then max_int else a * b
+let ( +! ) a b = if a > max_int - b then max_int else a + b
 
-let tree_of_matrix pairs m =
+type generator = {
+  shape : int -> int * int;
+      (* [(dimension, upper estimate of stored entries)] for [size >= 1] *)
+  build : Tt_util.Rng.t -> int -> S.Csr.t;
+}
+
+let gen_kinds =
+  let square k = k *! k in
+  let band n = max 2 (n / 50) and border n = max 2 (n / 40) in
+  [ ( "grid2d",
+      { shape = (fun k -> (square k, 5 *! square k));
+        build = (fun _ k -> S.Spgen.grid2d k) } );
+    ( "grid9",
+      { shape = (fun k -> (square k, 9 *! square k));
+        build = (fun _ k -> S.Spgen.grid2d_9pt k) } );
+    ( "grid3d",
+      { shape = (fun k -> (square k *! k, 7 *! (square k *! k)));
+        build = (fun _ k -> S.Spgen.grid3d k) } );
+    ( "banded",
+      { shape = (fun n -> (n, n *! ((2 * band n) + 1)));
+        build = (fun rng n -> S.Spgen.banded ~rng ~n ~bandwidth:(band n) ~fill:0.4) } );
+    ( "random",
+      { shape = (fun n -> (n, 6 *! n));
+        build = (fun rng n -> S.Spgen.random_sym ~rng ~n ~nnz_per_row:3.0) } );
+    ( "arrow",
+      { shape = (fun n -> (n, (5 *! n) +! (2 *! border n *! n)));
+        build = (fun _ n -> S.Spgen.block_arrow ~n ~blocks:8 ~border:(border n)) } );
+    ( "powerlaw",
+      { shape = (fun n -> (n, 5 *! n));
+        build = (fun rng n -> S.Spgen.power_law ~rng ~n ~edges_per_node:2) } );
+    ( "tridiagonal",
+      { shape = (fun n -> (n, 3 *! n)); build = (fun _ n -> S.Spgen.tridiagonal n) } )
+  ]
+
+let check_shape ~what ~dim ~nnz =
+  if dim > max_dim then
+    bad "%s: dimension %d exceeds the cap of %d" what dim max_dim;
+  if nnz > max_nnz then
+    bad "%s: %d stored entries (estimated) exceed the cap of %d" what nnz max_nnz
+
+let pipeline_args pairs =
   let ordering = ordering_of (lookup ~default:"mindeg" pairs "ordering") in
   let amalgamation = int_of ~what:"amalgamation" (lookup ~default:"4" pairs "amalgamation") in
-  (Tt_workloads.Pipeline.assembly_tree ~ordering ~amalgamation m).Tt_etree.Assembly.tree
+  if amalgamation < 1 then bad "amalgamation must be >= 1, got %d" amalgamation;
+  (ordering, amalgamation)
 
-(* Returns [(short_label, tree)]. *)
-let parse_source text =
+(* Syntax, defaults and caps only — cheap, no matrix is built. *)
+let source_of_text text =
   match tokens text with
   | "file" :: path :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "ordering"; "amalgamation" ];
-      let m =
-        match S.Matrix_market.read_file path with
-        | exception Sys_error e -> bad "cannot read %s: %s" path e
-        | _header, t -> S.Csr.of_triplet t
-      in
-      (Filename.remove_extension (Filename.basename path), tree_of_matrix pairs m)
+      let ordering, amalgamation = pipeline_args pairs in
+      File { path; ordering; amalgamation }
   | "gen" :: kind :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "size"; "seed"; "ordering"; "amalgamation" ];
       let size = int_of ~what:"size" (lookup ~default:"20" pairs "size") in
       let seed = int_of ~what:"seed" (lookup ~default:"42" pairs "seed") in
-      ( Printf.sprintf "%s-%d" kind size,
-        tree_of_matrix pairs (gen_matrix ~kind ~size ~seed) )
+      let ordering, amalgamation = pipeline_args pairs in
+      let g =
+        match List.assoc_opt kind gen_kinds with
+        | Some g -> g
+        | None -> bad "unknown matrix kind %S" kind
+      in
+      if size < 1 then bad "size must be >= 1, got %d" size;
+      let dim, nnz = g.shape size in
+      check_shape ~what:(Printf.sprintf "gen %s size=%d" kind size) ~dim ~nnz;
+      Gen { kind; size; seed; ordering; amalgamation }
   | "tree" :: rest ->
       let text = String.trim (String.concat " " rest) in
-      let text =
-        let n = String.length text in
-        if n >= 2 && text.[0] = '"' && text.[n - 1] = '"' then String.sub text 1 (n - 2)
-        else text
-      in
-      let tree =
-        try Tt_core.Tree.of_string text
-        with Invalid_argument e -> bad "bad tree literal: %s" e
-      in
-      ("tree-" ^ String.sub (Job.tree_digest tree) 0 8, tree)
+      let n = String.length text in
+      Literal
+        (if n >= 2 && text.[0] = '"' && text.[n - 1] = '"' then String.sub text 1 (n - 2)
+         else text)
   | kw :: _ -> bad "unknown source %S (expected file, gen or tree)" kw
   | [] -> bad "empty source"
+
+(* The materialization of a matrix source: build the matrix, then the
+   assembly tree, polling [cancel] before and throughout. *)
+let pipeline ~cancel ~ordering ~amalgamation label matrix () =
+  Tt_util.Cancel.check cancel;
+  let m = matrix () in
+  (label, (Pipeline.assembly_tree ~cancel ~ordering ~amalgamation m).Tt_etree.Assembly.tree)
+
+(* A bounded read of a regular file: FIFOs and devices could block or
+   never end, so they are refused before opening. *)
+let read_source_file path =
+  match Unix.stat path with
+  | exception Unix.Unix_error (e, _, _) ->
+      bad "cannot read %s: %s" path (Unix.error_message e)
+  | { Unix.st_kind = Unix.S_REG; st_size; _ } ->
+      if st_size > max_file_bytes then
+        bad "file %s: %d bytes exceed the cap of %d" path st_size max_file_bytes;
+      (match In_channel.with_open_bin path In_channel.input_all with
+      | content -> content
+      | exception Sys_error e -> bad "cannot read %s: %s" path e)
+  | _ -> bad "cannot read %s: not a regular file" path
+
+let matrix_of_file path content =
+  match S.Matrix_market.parse_string content with
+  | exception S.Matrix_market.Parse_error { line; message } ->
+      bad "%s: line %d: %s" path line message
+  | header, t ->
+      check_shape ~what:path
+        ~dim:(max header.S.Matrix_market.nrows header.S.Matrix_market.ncols)
+        ~nnz:(S.Triplet.nnz t);
+      S.Csr.of_triplet t
+
+(* [(cache key, materialize)] of a source. The key is canonical — every
+   default filled in, a file named by its content digest — so two
+   spellings of one source share a {!Source_cache} entry, and a
+   rewritten file gets a new one. Reading a [file] happens here (its
+   digest is part of the key); the matrix pipeline runs only in
+   [materialize]. *)
+let plan ~cancel = function
+  | Gen { kind; size; seed; ordering; amalgamation } ->
+      ( Printf.sprintf "gen %s size=%d seed=%d ordering=%s amalgamation=%d" kind size
+          seed (Pipeline.ordering_name ordering) amalgamation,
+        pipeline ~cancel ~ordering ~amalgamation
+          (Printf.sprintf "%s-%d" kind size)
+          (fun () -> (List.assoc kind gen_kinds).build (Tt_util.Rng.create seed) size) )
+  | File { path; ordering; amalgamation } ->
+      let content = read_source_file path in
+      ( Printf.sprintf "file %s md5=%s ordering=%s amalgamation=%d" path
+          (Digest.to_hex (Digest.string content))
+          (Pipeline.ordering_name ordering) amalgamation,
+        pipeline ~cancel ~ordering ~amalgamation
+          (Filename.remove_extension (Filename.basename path))
+          (fun () -> matrix_of_file path content) )
+  | Literal text ->
+      ( "tree " ^ text,
+        fun () ->
+          let tree =
+            try Tt_core.Tree.of_string text
+            with Invalid_argument e -> bad "bad tree literal: %s" e
+          in
+          ("tree-" ^ String.sub (Job.tree_digest tree) 0 8, tree) )
+
+(* Returns [(short_label, tree)]. *)
+let materialize ?sources ~cancel source =
+  let key, make = plan ~cancel source in
+  match sources with
+  | None -> make ()
+  | Some cache -> Source_cache.find_or_add cache ~key make
 
 (* ---------------------------------------------------------------- jobs *)
 
@@ -192,11 +311,13 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
-let parse_line line =
+(* Syntax first (source, then jobs), so a malformed line never pays
+   for materializing its source. *)
+let parse_line ?sources ~cancel line =
   match split_on_sep ~sep:"::" line with
   | None -> bad "expected '<source> :: <job> [; <job>]*'"
   | Some (source, jobs) ->
-      let name, tree = parse_source source in
+      let source = source_of_text source in
       let specs =
         String.split_on_char ';' jobs
         |> List.map String.trim
@@ -204,6 +325,7 @@ let parse_line line =
         |> List.map parse_job_spec
       in
       if specs = [] then bad "no jobs after '::'";
+      let name, tree = materialize ?sources ~cancel source in
       List.map
         (fun spec ->
           Job.make ~label:(name ^ " " ^ Job.spec_to_string spec) tree spec)
@@ -211,7 +333,7 @@ let parse_line line =
 
 (* All malformed lines are reported at once — fixing a manifest should
    take one round trip, not one per bad line. *)
-let parse text =
+let parse ?sources ?(cancel = Tt_util.Cancel.never) text =
   let lines = String.split_on_char '\n' text in
   let rec go acc errs lineno = function
     | [] -> (
@@ -222,12 +344,25 @@ let parse text =
         let line = String.trim (strip_comment line) in
         if line = "" then go acc errs (lineno + 1) rest
         else
-          match parse_line line with
+          let error msg =
+            go acc (Printf.sprintf "line %d: %s" lineno msg :: errs) (lineno + 1) rest
+          in
+          match parse_line ?sources ~cancel line with
           | jobs -> go (jobs :: acc) errs (lineno + 1) rest
-          | exception Bad msg ->
-              go acc (Printf.sprintf "line %d: %s" lineno msg :: errs) (lineno + 1) rest)
+          | exception Bad msg -> error msg
+          | exception (Tt_util.Cancel.Cancelled as e) -> raise e
+          | exception e ->
+              (* A pipeline stage rejecting its input: still the line's
+                 error, never the caller's exception. *)
+              error (Printexc.to_string e))
   in
   go [] [] 1 lines
+
+let route_key ?sources ?cancel entry =
+  match parse ?sources ?cancel entry with
+  | Error e -> Error e
+  | Ok [] -> Error "entry resolves to no jobs"
+  | Ok (job :: _) -> Ok (Job.id job)
 
 let load path =
   match open_in path with

@@ -89,7 +89,16 @@ module Json = struct
     in
     let hex4 () =
       if !pos + 4 > n then fail "truncated \\u escape";
-      let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+      let digits = String.sub s !pos 4 in
+      (* strict: [int_of_string] alone would raise on non-hex input and
+         accept '_' separators *)
+      if
+        not
+          (String.for_all
+             (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
+             digits)
+      then fail "bad \\u escape";
+      let v = int_of_string ("0x" ^ digits) in
       pos := !pos + 4;
       v
     in

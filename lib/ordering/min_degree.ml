@@ -8,7 +8,7 @@ module D = Tt_util.Dynarray_compat
    Each element [e] keeps its boundary list [boundary.(e)]. A timestamped
    mark array makes unions O(size of the lists). *)
 
-let order (g : Graph_adj.t) =
+let order ?(cancel = Tt_util.Cancel.never) (g : Graph_adj.t) =
   let n = g.Graph_adj.n in
   let avars = Array.map (fun a -> D.of_array a) g.Graph_adj.adj in
   let aelts : int D.t array = Array.init n (fun _ -> D.create ()) in
@@ -41,6 +41,7 @@ let order (g : Graph_adj.t) =
   done;
   let perm = Array.make n (-1) in
   for step = 0 to n - 1 do
+    Tt_util.Cancel.check cancel;
     let p, _deg = Tt_util.Int_heap.pop_min heap in
     perm.(step) <- p;
     eliminated.(p) <- true;

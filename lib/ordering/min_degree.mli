@@ -8,7 +8,9 @@
     nodes) is deliberately omitted — it changes only the speed, not the
     quality, at the sizes used here. *)
 
-val order : Graph_adj.t -> int array
+val order : ?cancel:Tt_util.Cancel.t -> Graph_adj.t -> int array
 (** [order g] is the elimination permutation,
     [perm.(new_index) = old_index]. Ties are broken by the smallest
-    vertex id, so the result is deterministic. *)
+    vertex id, so the result is deterministic. [cancel] (default
+    {!Tt_util.Cancel.never}) is polled once per pivot.
+    @raise Tt_util.Cancel.Cancelled once [cancel] has expired. *)

@@ -23,13 +23,14 @@ let induced (g : Graph_adj.t) vertices =
   in
   (Graph_adj.of_adjacency adj, map_back)
 
-let order ?(small = 24) (g : Graph_adj.t) =
+let order ?(cancel = Tt_util.Cancel.never) ?(small = 24) (g : Graph_adj.t) =
   let out = D.create () in
   let rec dissect (sub : Graph_adj.t) (map_back : int array) =
+    Tt_util.Cancel.check cancel;
     let n = sub.Graph_adj.n in
     if n = 0 then ()
     else if n <= small then
-      Array.iter (fun li -> D.add_last out map_back.(li)) (Min_degree.order sub)
+      Array.iter (fun li -> D.add_last out map_back.(li)) (Min_degree.order ~cancel sub)
     else begin
       (* split the first component; other components are dissected
          independently *)
@@ -51,7 +52,7 @@ let order ?(small = 24) (g : Graph_adj.t) =
         let max_level = Array.fold_left max 0 level in
         if max_level < 2 then
           (* too shallow to split: fall back to minimum degree *)
-          Array.iter (fun li -> D.add_last out map_back.(li)) (Min_degree.order sub)
+          Array.iter (fun li -> D.add_last out map_back.(li)) (Min_degree.order ~cancel sub)
         else begin
           let mid = max_level / 2 in
           let below = ref [] and above = ref [] and sep = ref [] in

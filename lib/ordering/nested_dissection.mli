@@ -7,7 +7,10 @@
     back to minimum degree. Produces the balanced, bushy elimination
     trees characteristic of graph-partitioning orderings. *)
 
-val order : ?small:int -> Graph_adj.t -> int array
+val order : ?cancel:Tt_util.Cancel.t -> ?small:int -> Graph_adj.t -> int array
 (** [order g] is the elimination permutation,
     [perm.(new_index) = old_index]. Parts of at most [small] vertices
-    (default 24) are ordered with {!Min_degree} restricted to the part. *)
+    (default 24) are ordered with {!Min_degree} restricted to the part.
+    [cancel] (default {!Tt_util.Cancel.never}) is polled once per
+    dissection level and inside each {!Min_degree} part.
+    @raise Tt_util.Cancel.Cancelled once [cancel] has expired. *)

@@ -1,4 +1,4 @@
-let order (g : Graph_adj.t) =
+let order ?(cancel = Tt_util.Cancel.never) (g : Graph_adj.t) =
   let n = g.Graph_adj.n in
   let visited = Array.make n false in
   let out = Array.make n (-1) in
@@ -17,6 +17,7 @@ let order (g : Graph_adj.t) =
       (* classic CM: process the queue in order, appending unvisited
          neighbors by increasing degree *)
       while !head < !pos do
+        Tt_util.Cancel.check cancel;
         let u = out.(!head) in
         incr head;
         let neigh =

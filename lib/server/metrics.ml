@@ -29,6 +29,9 @@ type t = {
   mutable admission_queue_depth : int;
   mutable admission_admitted : int;
   mutable admission_limit : int;
+  mutable source_cache_hits : int;
+  mutable source_cache_misses : int;
+  mutable source_cache_evictions : int;
 }
 
 let create ?(latency_window = 4096) () =
@@ -60,7 +63,10 @@ let create ?(latency_window = 4096) () =
     deadline_exceeded = 0;
     admission_queue_depth = 0;
     admission_admitted = 0;
-    admission_limit = 0
+    admission_limit = 0;
+    source_cache_hits = 0;
+    source_cache_misses = 0;
+    source_cache_evictions = 0
   }
 
 let locked t f =
@@ -108,6 +114,12 @@ let set_admission t ~queue_depth ~admitted ~limit =
       t.admission_queue_depth <- queue_depth;
       t.admission_admitted <- admitted;
       t.admission_limit <- limit)
+
+let set_source_cache t ~hits ~misses ~evictions =
+  locked t (fun () ->
+      t.source_cache_hits <- hits;
+      t.source_cache_misses <- misses;
+      t.source_cache_evictions <- evictions)
 
 let worker_restart t = locked t (fun () -> t.worker_restarts <- t.worker_restarts + 1)
 let idle_eviction t = locked t (fun () -> t.idle_evictions <- t.idle_evictions + 1)
@@ -158,6 +170,9 @@ type snapshot = {
   admission_queue_depth : int;
   admission_admitted : int;
   admission_limit : int;
+  source_cache_hits : int;
+  source_cache_misses : int;
+  source_cache_evictions : int;
   latency : latency_summary;
 }
 
@@ -194,6 +209,9 @@ let snapshot t =
         admission_queue_depth = t.admission_queue_depth;
         admission_admitted = t.admission_admitted;
         admission_limit = t.admission_limit;
+        source_cache_hits = t.source_cache_hits;
+        source_cache_misses = t.source_cache_misses;
+        source_cache_evictions = t.source_cache_evictions;
         latency =
           { count = t.lat_count;
             window;
@@ -232,7 +250,10 @@ let to_json s =
           [ ("total", Json.Int s.jobs);
             ("errors", Json.Int s.job_errors);
             ("cache_hits", Json.Int s.job_cache_hits);
-            ("wall_s", Json.Float s.job_wall_s)
+            ("wall_s", Json.Float s.job_wall_s);
+            ("source_cache_hits", Json.Int s.source_cache_hits);
+            ("source_cache_misses", Json.Int s.source_cache_misses);
+            ("source_cache_evictions", Json.Int s.source_cache_evictions)
           ] );
       ( "resilience",
         Json.Obj
@@ -307,6 +328,12 @@ let to_prometheus s =
   counter "job_cache_hits_total" s.job_cache_hits;
   typ "job_wall_seconds_total" "counter";
   gauge "job_wall_seconds_total" s.job_wall_s;
+  typ "source_cache_hits_total" "counter";
+  counter "source_cache_hits_total" s.source_cache_hits;
+  typ "source_cache_misses_total" "counter";
+  counter "source_cache_misses_total" s.source_cache_misses;
+  typ "source_cache_evictions_total" "counter";
+  counter "source_cache_evictions_total" s.source_cache_evictions;
   typ "worker_restarts_total" "counter";
   counter "worker_restarts_total" s.worker_restarts;
   typ "idle_evictions_total" "counter";

@@ -68,6 +68,11 @@ val set_admission : t -> queue_depth:int -> admitted:int -> limit:int -> unit
     requests admitted but not yet replied (queued + executing), and the
     current AIMD concurrency limit. *)
 
+val set_source_cache : t -> hits:int -> misses:int -> evictions:int -> unit
+(** Update the mirror of the server's {!Tt_engine.Source_cache}
+    counters (the cache keeps its own; the server copies them here
+    after every materialization and before every [stats] reply). *)
+
 (* ----------------------------------------------------------- snapshot *)
 
 type latency_summary = {
@@ -106,6 +111,9 @@ type snapshot = {
   admission_queue_depth : int;  (** Gauge: last reported depth. *)
   admission_admitted : int;  (** Gauge: admitted but not yet replied. *)
   admission_limit : int;  (** Gauge: current AIMD limit. *)
+  source_cache_hits : int;
+  source_cache_misses : int;
+  source_cache_evictions : int;
   latency : latency_summary;
 }
 

@@ -64,7 +64,7 @@ type conn = {
 type work = {
   wconn : conn;
   req_id : string;
-  jobs : Job.t list;
+  entry : string;  (* materialized by the worker, never on the reactor *)
   deadline : float;  (* absolute, seconds *)
   received : float;
   priority : P.priority;
@@ -98,6 +98,7 @@ let fresh_slot () =
 type t = {
   config : config;
   cache : Job.outcome Tt_engine.Cache.t;
+  sources : Tt_engine.Source_cache.t;
   retry : Tt_engine.Retry.policy;
   telemetry : Tt_engine.Telemetry.t option;
   job_timeout : float option;
@@ -130,8 +131,8 @@ let resolve host =
     try (Unix.gethostbyname host).Unix.h_addr_list.(0)
     with Not_found -> failwith ("cannot resolve host " ^ host))
 
-let create ?(config = default_config) ?cache ?(retry = Tt_engine.Retry.none)
-    ?telemetry ?job_timeout () =
+let create ?(config = default_config) ?cache ?sources
+    ?(retry = Tt_engine.Retry.none) ?telemetry ?job_timeout () =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -153,6 +154,8 @@ let create ?(config = default_config) ?cache ?(retry = Tt_engine.Retry.none)
   let config = { config with workers = max 1 config.workers } in
   { config;
     cache = (match cache with Some c -> c | None -> Tt_engine.Cache.create ());
+    sources =
+      (match sources with Some s -> s | None -> Tt_engine.Source_cache.create ());
     retry;
     telemetry;
     job_timeout;
@@ -203,7 +206,13 @@ let request_shutdown t =
   Atomic.set t.stop true;
   wake t
 
+let freshen_source_cache t =
+  let module Sc = Tt_engine.Source_cache in
+  Metrics.set_source_cache t.metrics ~hits:(Sc.hits t.sources)
+    ~misses:(Sc.misses t.sources) ~evictions:(Sc.evictions t.sources)
+
 let stats_json t =
+  freshen_source_cache t;
   let astats = Admission.stats t.queue in
   (* Freshen the admission gauges so the [metrics.overload] object a
      client reads is current, not last-reply-time. *)
@@ -355,7 +364,7 @@ let job_reports reports =
   Array.to_list
     (Array.map
        (fun (r : Executor.report) ->
-         { P.job_id = Job.id r.job;
+         { P.job_id = r.id;
            label = r.job.Job.label;
            spec = Job.spec_to_string r.job.Job.spec;
            result = r.result;
@@ -384,23 +393,40 @@ let process t w =
       P.Refused
         { code = P.Deadline_exceeded; msg = "deadline passed while queued" }
     else
-      (* Per-request executor over the shared cache/retry stack: one
-         domain (this one), ambient cancel = the request deadline. *)
+      (* One token for the whole request, ambient for the executor: the
+         deadline bounds materializing the source as well as solving. *)
       let cancel =
         Tt_util.Cancel.create ~deadline_after:(w.deadline -. now) ()
       in
-      let exec =
-        Executor.create ~domains:1 ~cache:t.cache ~retry:t.retry
-          ?telemetry:t.telemetry ?timeout:t.job_timeout ~cancel
-          ~on_job:(fun ~job:_ ~result ~wall ~cache_hit ->
-            Metrics.job t.metrics ~cache_hit
-              ~error:(Result.is_error result) ~wall_s:wall)
-          ()
+      let parsed =
+        try Some (Tt_engine.Manifest.parse ~sources:t.sources ~cancel w.entry)
+        with Tt_util.Cancel.Cancelled -> None
       in
-      match Executor.run_batch exec w.jobs with
-      | reports, _ -> P.Results (job_reports reports)
-      | exception e ->
-          P.Refused { code = P.Internal; msg = Printexc.to_string e }
+      freshen_source_cache t;
+      match parsed with
+      | None ->
+          P.Refused
+            { code = P.Deadline_exceeded;
+              msg = "deadline passed while materializing the source"
+            }
+      | Some (Error e) -> P.Refused { code = P.Bad_request; msg = e }
+      | Some (Ok []) ->
+          P.Refused { code = P.Bad_request; msg = "entry contains no jobs" }
+      | Some (Ok jobs) -> (
+          (* Per-request executor over the shared cache/retry stack: one
+             domain (this one). *)
+          let exec =
+            Executor.create ~domains:1 ~cache:t.cache ~retry:t.retry
+              ?telemetry:t.telemetry ?timeout:t.job_timeout ~cancel
+              ~on_job:(fun ~job:_ ~result ~wall ~cache_hit ->
+                Metrics.job t.metrics ~cache_hit
+                  ~error:(Result.is_error result) ~wall_s:wall)
+              ()
+          in
+          match Executor.run_batch exec jobs with
+          | reports, _ -> P.Results (job_reports reports)
+          | exception e ->
+              P.Refused { code = P.Internal; msg = Printexc.to_string e })
   in
   reply_work t w body
 
@@ -496,14 +522,12 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
           | Some s -> Float.max 0. (Float.min s t.config.max_deadline_s)
           | None -> t.config.max_deadline_s
         in
-        (* The adaptive admission decision, before any parsing, queue or
+        (* The adaptive admission decision, before any queue or
            per-connection bookkeeping: a pure function of the AIMD
            window, the in-flight count, the queue-wait estimate and the
            request's remaining budget. Shedding must be the cheapest
-           path through the server — entry parsing (matrix generation,
-           ordering, etree) costs real CPU, and an overloaded server
-           that parses before refusing collapses under the very traffic
-           it is trying to turn away. *)
+           path through the server; the entry itself is only parsed by
+           the worker that runs it, never here on the reactor. *)
         let limit = Overload.Limiter.limit t.limiter in
         let depth = Admission.length t.queue in
         let est_wait_s =
@@ -537,64 +561,60 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
             | Overload.Limit ->
                 refuse P.Overloaded
                   (Printf.sprintf "concurrency limit (%d) reached" limit))
-        | None -> (
-            match Tt_engine.Manifest.parse entry with
-            | Error e -> refuse P.Bad_request e
-            | Ok [] -> refuse P.Bad_request "entry contains no jobs"
-            | Ok jobs ->
-                let w =
-                  { wconn = conn;
-                    req_id = id;
-                    jobs;
-                    deadline = received +. budget;
-                    received;
-                    priority;
-                    idem;
-                    seq = Atomic.fetch_and_add t.admit_seq 1;
-                    replied = Atomic.make false
-                  }
-                in
-                (* Count the request in-flight before exposing it to
-                   workers — a worker may pop, reply and decrement before
-                   try_push even returns. The same locked section enforces
-                   the per-connection cap, so one pipelining client cannot
-                   monopolize the queue. *)
-                let admitted =
-                  locked t (fun () ->
-                      if conn.inflight >= t.config.max_inflight then false
-                      else begin
-                        conn.inflight <- conn.inflight + 1;
-                        true
-                      end)
-                in
-                if not admitted then
-                  refuse P.Overloaded
-                    (Printf.sprintf
-                       "per-connection in-flight limit (%d) reached"
-                       t.config.max_inflight)
-                else begin
-                  ignore (Atomic.fetch_and_add t.admitted 1);
-                  if
-                    not
-                      (Admission.try_push t.queue
-                         ~batch:(priority = P.Batch) w)
-                  then begin
-                    (* Roll back through the normal exit so the reply and
-                       the decrement stay paired. *)
-                    Metrics.shed t.metrics
-                      ~reason:
-                        (Overload.shed_reason_to_string Overload.Limit)
-                      ~priority:(P.priority_to_string priority);
-                    reply_work t w
-                      (P.Refused
-                         { code = P.Overloaded;
-                           msg =
-                             Printf.sprintf
-                               "admission queue full (capacity %d)"
-                               (Admission.capacity t.queue)
-                         })
-                  end
-                end))
+        | None ->
+            let w =
+              { wconn = conn;
+                req_id = id;
+                entry;
+                deadline = received +. budget;
+                received;
+                priority;
+                idem;
+                seq = Atomic.fetch_and_add t.admit_seq 1;
+                replied = Atomic.make false
+              }
+            in
+            (* Count the request in-flight before exposing it to
+               workers — a worker may pop, reply and decrement before
+               try_push even returns. The same locked section enforces
+               the per-connection cap, so one pipelining client cannot
+               monopolize the queue. *)
+            let admitted =
+              locked t (fun () ->
+                  if conn.inflight >= t.config.max_inflight then false
+                  else begin
+                    conn.inflight <- conn.inflight + 1;
+                    true
+                  end)
+            in
+            if not admitted then
+              refuse P.Overloaded
+                (Printf.sprintf
+                   "per-connection in-flight limit (%d) reached"
+                   t.config.max_inflight)
+            else begin
+              ignore (Atomic.fetch_and_add t.admitted 1);
+              if
+                not
+                  (Admission.try_push t.queue
+                     ~batch:(priority = P.Batch) w)
+              then begin
+                (* Roll back through the normal exit so the reply and
+                   the decrement stay paired. *)
+                Metrics.shed t.metrics
+                  ~reason:
+                    (Overload.shed_reason_to_string Overload.Limit)
+                  ~priority:(P.priority_to_string priority);
+                reply_work t w
+                  (P.Refused
+                     { code = P.Overloaded;
+                       msg =
+                         Printf.sprintf
+                           "admission queue full (capacity %d)"
+                           (Admission.capacity t.queue)
+                     })
+              end
+            end)
 
 let handle_line t conn line =
   let line =

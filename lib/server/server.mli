@@ -5,18 +5,21 @@
 
     - one {e I/O domain} (the caller of {!run}) owns the listening
       socket and every connection's read side, multiplexed with
-      [Unix.select]; it parses frames, answers [ping]/[stats]
+      [Unix.select]; it decodes frames, answers [ping]/[stats]
       instantly, and admits [solve] work into a bounded
       {!Admission} queue — or rejects it with [overloaded] when the
       queue (or the per-connection in-flight cap) is full, so offered
       load can never grow the resident set;
-    - [workers] {e worker domains} pop admitted requests and run their
-      jobs through a per-request {!Tt_engine.Executor} sharing one
-      {!Tt_engine.Cache} / {!Tt_engine.Retry} stack, under a
+    - [workers] {e worker domains} pop admitted requests, materialize
+      their entries ({!Tt_engine.Manifest.parse} through the server's
+      {!Tt_engine.Source_cache}) and run their jobs through a
+      per-request {!Tt_engine.Executor} sharing one
+      {!Tt_engine.Cache} / {!Tt_engine.Retry} stack, all under a
       per-request {!Tt_util.Cancel} deadline token (a request whose
-      deadline passes while queued is refused with
-      [deadline_exceeded]; one that is already running degrades its
-      remaining jobs to [Timed_out]);
+      deadline passes while queued or while its source is built is
+      refused with [deadline_exceeded]; one already solving degrades
+      its remaining jobs to [Timed_out]; a malformed entry is refused
+      [bad_request]);
     - responses are buffered per connection and written with
       non-blocking sockets — workers append and flush
       opportunistically, the I/O domain drains the rest on
@@ -95,6 +98,7 @@ type t
 val create :
   ?config:config ->
   ?cache:Tt_engine.Job.outcome Tt_engine.Cache.t ->
+  ?sources:Tt_engine.Source_cache.t ->
   ?retry:Tt_engine.Retry.policy ->
   ?telemetry:Tt_engine.Telemetry.t ->
   ?job_timeout:float ->
@@ -103,6 +107,9 @@ val create :
 (** Binds and listens immediately (so {!port} is valid before {!run}).
     [cache] defaults to a fresh unbounded in-memory cache — a
     long-lived server should pass [Cache.create ~max_entries ()].
+    [sources] (default: a fresh {!Tt_engine.Source_cache} with its
+    default node bound) memoizes materialized manifest sources; pass
+    one to share it with other servers or a router in the process.
     [job_timeout] is the engine's per-job cooperative timeout,
     independent of request deadlines.
     @raise Unix.Unix_error when the address cannot be bound. *)

@@ -33,6 +33,9 @@ type t = {
   shards_mu : Mutex.t;
   ring_ref : Ring.t option ref;  (* what the peer hooks read *)
   router : Router.t;
+  sources : Tt_engine.Source_cache.t;
+      (* one per cluster: the router and every shard materialize a
+         source once between them *)
   server_config : Server.config;
   workers : int;
   peering : bool;
@@ -100,11 +103,11 @@ let mk_shard ~peering ~ring_ref name =
   self := Some s;
   s
 
-let boot_server ~server_config ~workers (s : shard) =
+let boot_server ~server_config ~workers ~sources (s : shard) =
   let config =
     { server_config with Server.host = s.host; port = s.port; workers }
   in
-  let server = Server.create ~config ~cache:s.cache () in
+  let server = Server.create ~config ~cache:s.cache ~sources () in
   s.port <- Server.port server;
   Server.start server;
   s.server <- Some server
@@ -141,7 +144,8 @@ let restart_shard t i =
   let s = t.shards.(i) in
   match s.server with
   | Some _ -> ()
-  | None -> boot_server ~server_config:t.server_config ~workers:t.workers s
+  | None -> boot_server ~server_config:t.server_config ~workers:t.workers
+        ~sources:t.sources s
 
 (* ------------------------------------------------------ supervision *)
 
@@ -213,13 +217,14 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
      against it first, the ring is filled in once all ports are
      known. Until then the hook degrades to local compute. *)
   let ring_ref = ref None in
+  let sources = Tt_engine.Source_cache.create () in
   let cluster_shards =
     Array.init shards (fun i -> mk_shard ~peering ~ring_ref (shard_name i))
   in
   (match
      Array.iter
        (fun s ->
-         boot_server ~server_config ~workers s;
+         boot_server ~server_config ~workers ~sources s;
          if proxied then boot_proxy s)
        cluster_shards
    with
@@ -233,7 +238,7 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
   in
   ring_ref := Some ring;
   let router =
-    match Router.create ?config:router_config ~ring () with
+    match Router.create ?config:router_config ~sources ~ring () with
     | r -> r
     | exception e ->
         Array.iter teardown_shard cluster_shards;
@@ -245,6 +250,7 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
       shards_mu = Mutex.create ();
       ring_ref;
       router;
+      sources;
       server_config;
       workers;
       peering;
@@ -334,7 +340,8 @@ let join t =
       let name = shard_name (Array.length t.shards) in
       let s = mk_shard ~peering:t.peering ~ring_ref:t.ring_ref name in
       s.joined_late <- true;
-      boot_server ~server_config:t.server_config ~workers:t.workers s;
+      boot_server ~server_config:t.server_config ~workers:t.workers
+        ~sources:t.sources s;
       if t.proxied then boot_proxy s;
       (match Ring.add (current_ring t) (ring_node s) with
       | ring' ->

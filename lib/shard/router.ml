@@ -44,15 +44,11 @@ type t = {
   hedge : Forward.hedge_state;
   stop : bool Atomic.t;
   idem_seq : int Atomic.t;
-  (* entry -> routing key. Routing parses the manifest entry (to get
-     the first job's content address), which materializes the matrix
-     source — too slow to redo for every request of a repetitive
-     workload. Ring-independent (a content address), so it survives
-     reconfiguration. Bounded: on overflow new entries are routed
-     unmemoized rather than evicting (workloads here have few distinct
-     entries). *)
-  route_mu : Mutex.t;
-  route_memo : (string, (string, string) result) Hashtbl.t;
+  (* Routing parses the manifest entry to get its first job's content
+     address, which needs the materialized source: the source cache
+     keeps a repetitive workload from re-running the matrix pipeline
+     per request. *)
+  sources : Tt_engine.Source_cache.t;
   (* key -> (epoch, failover sweep order). This one {e does} depend on
      the ring: every entry is stamped with the epoch that computed it
      and ignored — lazily replaced — after any reconfiguration. *)
@@ -64,10 +60,9 @@ type t = {
   mutable conns : unit Domain.t list;
 }
 
-let max_route_memo = 4096
 let max_sweep_memo = 4096
 
-let create ?(config = default_config) ~ring () =
+let create ?(config = default_config) ?sources ~ring () =
   let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
@@ -98,8 +93,10 @@ let create ?(config = default_config) ~ring () =
         ~quantile:config.hedge_quantile ~seed:config.hedge_seed ();
     stop = Atomic.make false;
     idem_seq = Atomic.make 0;
-    route_mu = Mutex.create ();
-    route_memo = Hashtbl.create 64;
+    sources =
+      (match sources with
+      | Some s -> s
+      | None -> Tt_engine.Source_cache.create ());
     sweep_mu = Mutex.create ();
     sweep_memo = Hashtbl.create 64;
     accept_domain = None;
@@ -136,25 +133,6 @@ let reconfigure t ring' =
   List.iter (fun name -> Health.forget t.health name) removed
 
 (* ------------------------------------------------------------- routing *)
-
-let compute_route_key entry =
-  match Tt_engine.Manifest.parse entry with
-  | Error e -> Error e
-  | Ok [] -> Error "entry resolves to no jobs"
-  | Ok (job :: _) -> Ok (Tt_engine.Job.id job)
-
-let route_key t entry =
-  let memoized =
-    locked t.route_mu (fun () -> Hashtbl.find_opt t.route_memo entry)
-  in
-  match memoized with
-  | Some r -> r
-  | None ->
-      let r = compute_route_key entry in
-      locked t.route_mu (fun () ->
-          if Hashtbl.length t.route_memo < max_route_memo then
-            Hashtbl.replace t.route_memo entry r);
-      r
 
 (* The failover sweep order for [key] against the {e current} ring —
    the [route] planner every per-connection {!Forward} pool shares.
@@ -305,7 +283,7 @@ let handle_line t fwd fd line =
                      msg = "deadline budget exhausted at router"
                    })
           | _ -> (
-              match route_key t entry with
+              match Tt_engine.Manifest.route_key ~sources:t.sources entry with
               | Error msg ->
                   Metrics.reject t.metrics;
                   reply fd req_id (P.Refused { code = P.Bad_request; msg })

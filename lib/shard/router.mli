@@ -6,9 +6,10 @@
     load generator — points at a cluster by changing only the port.
 
     Per request:
-    - [solve]: the entry's {e first job id} (from
-      {!Tt_engine.Manifest.parse}, memoized per entry) is the routing
-      key; the request is forwarded along the key's failover sweep
+    - [solve]: the entry's {e first job id}
+      ({!Tt_engine.Manifest.route_key}, over a
+      {!Tt_engine.Source_cache} so a known source is not materialized
+      again) is the routing key; the request is forwarded along the key's failover sweep
       ({!Forward.call}) against the {e current} ring, carrying the
       client's idempotency key or a router-generated one — chosen once
       per logical request, so every re-send of the sweep deduplicates.
@@ -89,9 +90,11 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ring:Ring.t -> unit -> t
+val create :
+  ?config:config -> ?sources:Tt_engine.Source_cache.t -> ring:Ring.t -> unit -> t
 (** Binds and listens immediately (so {!port} is valid before
-    {!start}).
+    {!start}). [sources] (fresh by default) may be shared with the
+    shards of an in-process cluster.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val port : t -> int

@@ -6,43 +6,31 @@ type t = {
   fwd : Forward.t;
   tag : string;
   mutable seq : int;
-  memo : (string, (string, string) result) Hashtbl.t;
+  sources : Tt_engine.Source_cache.t;
   metrics : Metrics.t;
 }
 
 let create ?connect_timeout_s ?read_timeout_s ?retry ?(tag = "sc") ?metrics
-    ring =
+    ?sources ring =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
   { fwd =
       Forward.create ?connect_timeout_s ?read_timeout_s ?retry ~metrics ring;
     tag;
     seq = 0;
-    memo = Hashtbl.create 64;
+    sources =
+      (match sources with
+      | Some s -> s
+      | None -> Tt_engine.Source_cache.create ());
     metrics
   }
 
 let metrics t = t.metrics
 let close t = Forward.close t.fwd
 
-(* Same key function as the router ({!Router}): first job id of the
-   parsed entry, memoized — agreement is what makes direct routing and
-   routed traffic share shard caches. Not thread-safe: one Shard_client
-   per domain, like a {!Client.session}. *)
-let route_key t entry =
-  match Hashtbl.find_opt t.memo entry with
-  | Some r -> r
-  | None ->
-      let r =
-        match Tt_engine.Manifest.parse entry with
-        | Error e -> Error e
-        | Ok [] -> Error "entry resolves to no jobs"
-        | Ok (job :: _) -> Ok (Tt_engine.Job.id job)
-      in
-      Hashtbl.replace t.memo entry r;
-      r
-
 let solve t ?timeout_s ?idem ?(priority = P.Interactive) entry =
-  match route_key t entry with
+  (* The router's key function, so direct and routed traffic agree on
+     placement and share shard caches. *)
+  match Tt_engine.Manifest.route_key ~sources:t.sources entry with
   | Error msg -> Error (Client.Refused (P.Bad_request, msg))
   | Ok key -> (
       let idem =
@@ -70,14 +58,16 @@ let peek t key =
   | Ok _ | Error _ -> None
 
 (* Adapter for [Loadgen.config.solver]: each load connection gets its
-   own Shard_client (they are single-domain), all sharing [metrics]. *)
+   own Shard_client (they are single-domain), all sharing [metrics] and
+   one source cache. *)
 let loadgen_solver ?connect_timeout_s ?read_timeout_s ?retry ?metrics ring =
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+  let sources = Tt_engine.Source_cache.create () in
   fun ~tag ~conn ->
     let sc =
       create ?connect_timeout_s ?read_timeout_s ?retry
         ~tag:(Printf.sprintf "%s-c%d" tag conn)
-        ~metrics ring
+        ~metrics ~sources ring
     in
     { L.sv_solve =
         (fun ?timeout_s ?priority ~idem entry ->

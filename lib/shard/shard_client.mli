@@ -1,7 +1,8 @@
 (** Shard-aware client: route directly from the client given a cluster
     map, skipping the router hop.
 
-    Uses the same routing key as {!Router} (first job id of the parsed
+    Uses the same routing key as {!Router}
+    ({!Tt_engine.Manifest.route_key}: the first job id of the parsed
     entry) over the same {!Forward} failover sweep, so direct and
     routed traffic agree on placement and share shard caches. Like a
     {!Tt_server.Client.session}, an instance is single-domain; run one
@@ -15,12 +16,15 @@ val create :
   ?retry:Tt_engine.Retry.policy ->
   ?tag:string ->
   ?metrics:Metrics.t ->
+  ?sources:Tt_engine.Source_cache.t ->
   Ring.t ->
   t
 (** [retry] schedules failover ring sweeps (see {!Forward.create});
     [tag] (default ["sc"]) namespaces generated idempotency keys;
     [metrics] (fresh by default) may be shared across clients to
-    aggregate forward/failover counts. *)
+    aggregate forward/failover counts. [sources] (fresh by default)
+    memoizes the materialized sources behind the routing key; it is
+    domain-safe, so clients on different domains may share one. *)
 
 val solve :
   t ->
@@ -55,4 +59,4 @@ val loadgen_solver :
 (** Plug cluster routing into {!Tt_server.Loadgen}: pass
     [Some (loadgen_solver … ring)] as [config.solver] and each load
     connection drives its own Shard_client (tagged ["<tag>-c<conn>"],
-    sharing [metrics]). *)
+    sharing [metrics] and one source cache). *)

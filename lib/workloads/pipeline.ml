@@ -8,21 +8,32 @@ let ordering_name = function
 
 let all_orderings = [ Rcm; Min_degree; Nested_dissection ]
 
-let permutation_of ordering pattern =
+let permutation_of ?cancel ordering pattern =
   match ordering with
   | Natural -> Tt_ordering.Permute.identity pattern.Tt_sparse.Csr.nrows
-  | Rcm -> Tt_ordering.Rcm.order (Tt_ordering.Graph_adj.of_pattern pattern)
-  | Min_degree -> Tt_ordering.Min_degree.order (Tt_ordering.Graph_adj.of_pattern pattern)
+  | Rcm -> Tt_ordering.Rcm.order ?cancel (Tt_ordering.Graph_adj.of_pattern pattern)
+  | Min_degree ->
+      Tt_ordering.Min_degree.order ?cancel (Tt_ordering.Graph_adj.of_pattern pattern)
   | Nested_dissection ->
-      Tt_ordering.Nested_dissection.order (Tt_ordering.Graph_adj.of_pattern pattern)
+      Tt_ordering.Nested_dissection.order ?cancel
+        (Tt_ordering.Graph_adj.of_pattern pattern)
 
-let assembly_tree ?(ordering = Min_degree) ?(amalgamation = 4) a =
+let assembly_tree ?(cancel = Tt_util.Cancel.never) ?(ordering = Min_degree)
+    ?(amalgamation = 4) a =
+  let stage () = Tt_util.Cancel.check cancel in
+  stage ();
   let pattern = Tt_sparse.Csr.symmetrize_pattern a in
-  let perm = permutation_of ordering pattern in
+  stage ();
+  let perm = permutation_of ~cancel ordering pattern in
+  stage ();
   let b = Tt_ordering.Permute.apply pattern perm in
+  stage ();
   let parent = Tt_etree.Elimination_tree.parents b in
+  stage ();
   let col_counts = Tt_etree.Col_counts.counts b ~parent in
+  stage ();
   let am = Tt_etree.Amalgamation.run ~parent ~col_counts ~limit:amalgamation in
+  stage ();
   Tt_etree.Assembly.of_amalgamation am
 
 let stats (asm : Tt_etree.Assembly.t) =

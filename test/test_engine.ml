@@ -506,6 +506,187 @@ let test_manifest_approx_errors () =
   check_error "gen grid2d :: minmem-approx tol=-0.5" "tol must be >= 0";
   check_error "gen grid2d :: minmem-approx steps=3" "unknown key"
 
+
+(* ------------------------------------------------------- source bounds *)
+
+module M = Tt_engine.Manifest
+module Sc = Tt_engine.Source_cache
+
+let expect_error ?sources ?cancel text fragment =
+  match M.parse ?sources ?cancel text with
+  | Ok _ -> Alcotest.failf "expected an error for %S" text
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S mentions %S (got %S)" text fragment e)
+        true (H.contains e fragment)
+
+(* A pre-expired token: a source that passes its caps reaches the
+   pipeline and stops at the first poll, before any matrix is built. *)
+let expect_within_caps text =
+  let cancel = Tt_util.Cancel.create () in
+  Tt_util.Cancel.cancel cancel;
+  match M.parse ~cancel text with
+  | exception Tt_util.Cancel.Cancelled -> ()
+  | Ok _ -> Alcotest.failf "%S: materialized under an expired token" text
+  | Error e -> Alcotest.failf "%S: refused within the caps: %s" text e
+
+let temp_file contents =
+  let path = Filename.temp_file "tt_manifest" ".mtx" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  path
+
+let test_manifest_never_raises () =
+  let not_mm = temp_file "hello, not a matrix\n" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove not_mm)
+    (fun () ->
+      expect_error "gen grid2d amalgamation=0 :: minmem" "amalgamation must be >= 1";
+      expect_error "gen grid2d size=0 :: minmem" "size must be >= 1";
+      expect_error "gen arrow size=2 :: minmem" "line 1";
+      expect_error ("file " ^ not_mm ^ " :: minmem") not_mm;
+      expect_error "file . :: minmem" "not a regular file";
+      expect_error "file /nonexistent/x.mtx :: minmem" "cannot read";
+      expect_error "gen grid3d size=99999999 :: minmem" "exceeds the cap")
+
+let test_manifest_caps () =
+  let d = M.max_dim in
+  (* dimension: tridiagonal has n = size and 3n entries *)
+  expect_within_caps (Printf.sprintf "gen tridiagonal size=%d :: minmem" (d - 1));
+  expect_error (Printf.sprintf "gen tridiagonal size=%d :: minmem" (d + 1)) "dimension";
+  (* stored entries: random estimates 6n *)
+  let n = M.max_nnz / 6 in
+  expect_within_caps (Printf.sprintf "gen random size=%d :: minmem" (n - 1));
+  expect_error (Printf.sprintf "gen random size=%d :: minmem" (n + 1)) "stored entries";
+  (* cubes: the side where 7 k^3 first exceeds the cap *)
+  let k = ref 1 in
+  while 7 * (!k + 1) * (!k + 1) * (!k + 1) <= M.max_nnz do incr k done;
+  expect_within_caps (Printf.sprintf "gen grid3d size=%d :: minmem" !k);
+  expect_error (Printf.sprintf "gen grid3d size=%d :: minmem" (!k + 1)) "stored entries";
+  (* files: a sparse file of cap+1 bytes is refused before reading;
+     cap-1 bytes are read and rejected as a matrix, not for size *)
+  let sized bytes =
+    let path = temp_file "" in
+    Unix.truncate path bytes;
+    path
+  in
+  let big = sized (M.max_file_bytes + 1) and fits = sized (M.max_file_bytes - 1) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove big; Sys.remove fits)
+    (fun () ->
+      expect_error ("file " ^ big ^ " :: minmem") "exceed the cap";
+      match M.parse ("file " ^ fits ^ " :: minmem") with
+      | Ok _ -> Alcotest.fail "a file of zero bytes is no matrix"
+      | Error e ->
+          Alcotest.(check bool) ("not refused for size: " ^ e) false
+            (H.contains e "exceed the cap"))
+
+(* -------------------------------------------------------- source cache *)
+
+let jobs_of ?sources text =
+  match M.parse ?sources text with
+  | Ok jobs -> jobs
+  | Error e -> Alcotest.failf "parse %S: %s" text e
+
+let test_source_cache_canonical_keys () =
+  let sources = Sc.create () in
+  let a = jobs_of ~sources "gen grid2d size=12 :: minmem" in
+  let b =
+    jobs_of ~sources
+      "gen grid2d  size=12 seed=42 ordering=mindeg amalgamation=4 :: minmem"
+  in
+  Alcotest.(check int) "one entry" 1 (Sc.length sources);
+  Alcotest.(check int) "one miss" 1 (Sc.misses sources);
+  Alcotest.(check int) "one hit" 1 (Sc.hits sources);
+  Alcotest.(check bool) "the hit shares the tree" true
+    ((List.hd a).J.tree == (List.hd b).J.tree);
+  ignore (jobs_of ~sources "gen grid2d size=12 seed=7 :: minmem");
+  Alcotest.(check int) "a different seed is a different source" 2 (Sc.length sources)
+
+let test_source_cache_lru () =
+  let tree size = T.of_parents (Array.init size (fun i -> i - 1)) in
+  let add c key size =
+    fst (Sc.find_or_add c ~key (fun () -> (key, tree size)))
+  in
+  let c = Sc.create ~max_nodes:7 () in
+  ignore (add c "a" 3);
+  ignore (add c "b" 3);
+  ignore (add c "a" 3);  (* touch: "b" is now least recent *)
+  ignore (add c "c" 3);
+  Alcotest.(check int) "one eviction" 1 (Sc.evictions c);
+  Alcotest.(check int) "nodes within the bound" 6 (Sc.nodes c);
+  let misses = Sc.misses c in
+  ignore (add c "a" 3);
+  Alcotest.(check int) "recently used survives" misses (Sc.misses c);
+  ignore (add c "b" 3);
+  Alcotest.(check int) "least recent was evicted" (misses + 1) (Sc.misses c);
+  ignore (add c "huge" 8);
+  Alcotest.(check int) "a tree over the bound is not cached" 2 (Sc.length c);
+  Alcotest.check_raises "max_nodes < 1"
+    (Invalid_argument "Source_cache.create: max_nodes < 1") (fun () ->
+      ignore (Sc.create ~max_nodes:0 ()))
+
+let test_source_cache_file_digest () =
+  let mm k = Tt_sparse.Matrix_market.to_string (Tt_sparse.Spgen.grid2d k) in
+  let path = temp_file (mm 4) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let sources = Sc.create () in
+      let entry = "file " ^ path ^ " :: minmem" in
+      let first = jobs_of ~sources entry in
+      ignore (jobs_of ~sources entry);
+      Alcotest.(check int) "unchanged file hits" 1 (Sc.hits sources);
+      Out_channel.with_open_bin path (fun oc -> output_string oc (mm 5));
+      let rewritten = jobs_of ~sources entry in
+      Alcotest.(check int) "rewritten file is a new entry" 2 (Sc.length sources);
+      Alcotest.(check bool) "and a new tree" false
+        (T.to_string (List.hd first).J.tree
+         = T.to_string (List.hd rewritten).J.tree);
+      Alcotest.(check string) "same tree as without the cache"
+        (T.to_string (List.hd (jobs_of entry)).J.tree)
+        (T.to_string (List.hd rewritten).J.tree))
+
+let test_source_cache_concurrent_misses () =
+  let sources = Sc.create () in
+  let entry = "gen grid2d size=14 ordering=nd :: minmem" in
+  let trees =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> (List.hd (jobs_of ~sources entry)).J.tree))
+    |> List.map Domain.join
+  in
+  let expected = T.to_string (List.hd (jobs_of entry)).J.tree in
+  List.iter
+    (fun t -> Alcotest.(check string) "same tree" expected (T.to_string t))
+    trees;
+  Alcotest.(check int) "one entry" 1 (Sc.length sources);
+  Alcotest.(check int) "four lookups" 4 (Sc.hits sources + Sc.misses sources)
+
+let test_source_cache_job_ids () =
+  let text =
+    Printf.sprintf
+      "gen grid2d size=8 :: minmem; liu\n\
+       gen banded size=40 ordering=rcm :: minio policy=first-fit budget=50%%\n\
+       tree \"%s\" :: postorder"
+      (T.to_string (some_tree 3))
+  in
+  let ids jobs = List.map J.id jobs in
+  let sources = Sc.create () in
+  let plain = ids (jobs_of text) in
+  Alcotest.(check (list string)) "miss" plain (ids (jobs_of ~sources text));
+  Alcotest.(check (list string)) "hit" plain (ids (jobs_of ~sources text));
+  Alcotest.(check int) "every line hit the second time" 3 (Sc.hits sources);
+  Alcotest.(check (result string string)) "route key is the first job id"
+    (Ok (List.hd plain))
+    (M.route_key ~sources "gen grid2d size=8 :: minmem; liu")
+
+(* Executor reports carry the id, and it is the job's content address. *)
+let test_report_ids () =
+  let jobs = mixed_jobs ~trees:3 () in
+  let reports, _ = E.run_batch (E.create ~domains:2 ()) jobs in
+  Array.iter
+    (fun (r : E.report) -> Alcotest.(check string) "report id" (J.id r.E.job) r.E.id)
+    reports
+
 let () =
   H.run "engine"
     [ ( "job",
@@ -537,6 +718,16 @@ let () =
           H.case "end to end" test_manifest_runs_through_engine;
           H.case "sched jobs" test_manifest_sched_jobs;
           H.case "minmem-approx jobs" test_manifest_approx_jobs;
-          H.case "minmem-approx errors" test_manifest_approx_errors
+          H.case "minmem-approx errors" test_manifest_approx_errors;
+          H.case "never raises" test_manifest_never_raises;
+          H.case "source caps" test_manifest_caps
+        ] );
+      ( "source cache",
+        [ H.case "canonical keys" test_source_cache_canonical_keys;
+          H.case "lru under a node bound" test_source_cache_lru;
+          H.case "file content digest" test_source_cache_file_digest;
+          H.case "concurrent misses" test_source_cache_concurrent_misses;
+          H.case "job ids match uncached" test_source_cache_job_ids;
+          H.case "report ids" test_report_ids
         ] )
     ]

@@ -73,6 +73,9 @@ let test_request_decode_errors () =
   expect {|{"v":1,"id":"x","op":"solve"}|} (Some "x") P.Bad_request;
   expect {|{"v":1,"id":"x","op":"peek"}|} (Some "x") P.Bad_request;
   expect {|{"v":1,"id":"x","op":"peek","key":7}|} (Some "x") P.Bad_request;
+  (* a malformed \u escape is a bad frame, not an exception *)
+  expect {|{"v":1,"id":"\u00{z","op":"ping"}|} None P.Bad_frame;
+  expect {|{"v":1,"id":"\u_0_1","op":"ping"}|} None P.Bad_frame;
   (* [idem] is optional but must be a string when present. *)
   expect {|{"v":1,"id":"x","op":"solve","entry":"e","idem":7}|} (Some "x")
     P.Bad_request;
@@ -910,6 +913,130 @@ let test_stats_sections () =
                 (int_at "replay" "capacity" >= 1)
           | _ -> Alcotest.fail "expected a stats reply"))
 
+(* Entries the pipeline rejects must come back [bad_request] from the
+   worker and leave it free: once such an entry raised out of the parser
+   and the only worker never replied. *)
+let test_bad_entries_refused () =
+  let config = { Srv.default_config with Srv.workers = 1 } in
+  let not_mm = Filename.temp_file "tt_server" ".txt" in
+  Out_channel.with_open_bin not_mm (fun oc -> output_string oc "not a matrix\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove not_mm)
+    (fun () ->
+      with_server ~config (fun srv ->
+          let port = Srv.port srv in
+          List.iter
+            (fun entry ->
+              C.with_connection ~read_timeout_s:10. ~port (fun c ->
+                  match
+                    C.call c
+                      (P.Solve
+                         { entry; timeout_s = None; idem = None; priority = P.Interactive })
+                  with
+                  | Ok (P.Refused { code = P.Bad_request; _ }) -> ()
+                  | Ok _ -> Alcotest.failf "%S: expected bad_request" entry
+                  | Error e -> Alcotest.failf "%S: %s" entry e))
+            [ "gen grid2d amalgamation=0 :: minmem";
+              "file " ^ not_mm ^ " :: minmem";
+              "gen grid3d size=99999999 :: minmem"
+            ];
+          C.with_connection ~read_timeout_s:10. ~port (fun c ->
+              Alcotest.(check bool) "fresh connection pongs" true
+                (C.call c P.Ping = Ok P.Pong);
+              match C.solve c "gen grid2d size=5 :: minmem" with
+              | Ok [ _ ] -> ()
+              | Ok _ -> Alcotest.fail "expected one report"
+              | Error e -> Alcotest.failf "solve after refusals: %s" e)))
+
+(* A slow source is materialized by a worker under the request deadline:
+   it is refused within about its budget, and meanwhile the reactor and
+   the other worker keep answering pings and warm solves promptly. *)
+let test_slow_source_under_deadline () =
+  let config = { Srv.default_config with Srv.workers = 2 } in
+  let small = "gen grid2d size=6 :: minmem" in
+  with_server ~config (fun srv ->
+      let port = Srv.port srv in
+      C.with_connection ~read_timeout_s:10. ~port (fun fast ->
+          (match C.solve fast small with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "warm-up: %s" e);
+          let slow =
+            Domain.spawn (fun () ->
+                C.with_connection ~read_timeout_s:10. ~port (fun c ->
+                    let t0 = Unix.gettimeofday () in
+                    let r =
+                      C.call c
+                        (P.Solve
+                           { entry = "gen grid3d size=16 :: minmem";
+                             timeout_s = Some 0.3;
+                             idem = None;
+                             priority = P.Interactive
+                           })
+                    in
+                    (r, Unix.gettimeofday () -. t0)))
+          in
+          let latencies = ref [] in
+          let timed f =
+            let t0 = Unix.gettimeofday () in
+            f ();
+            latencies := (Unix.gettimeofday () -. t0) :: !latencies
+          in
+          let stop = Unix.gettimeofday () +. 0.6 in
+          while Unix.gettimeofday () < stop do
+            timed (fun () ->
+                Alcotest.(check bool) "pong" true (C.call fast P.Ping = Ok P.Pong));
+            timed (fun () ->
+                match C.solve fast small with
+                | Ok _ -> ()
+                | Error e -> Alcotest.failf "warm solve: %s" e)
+          done;
+          let r, wall = Domain.join slow in
+          (match r with
+          | Ok (P.Refused { code = P.Deadline_exceeded; _ }) -> ()
+          | Ok _ -> Alcotest.fail "the slow source must be refused deadline_exceeded"
+          | Error e -> Alcotest.failf "slow call: %s" e);
+          Alcotest.(check bool)
+            (Printf.sprintf "refused within 1 s (took %.3f s)" wall)
+            true (wall < 1.0);
+          let p99 =
+            Tt_util.Statistics.quantile (Array.of_list !latencies) 0.99
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "concurrent p99 %.1f ms < 50 ms over %d calls"
+               (p99 *. 1e3) (List.length !latencies))
+            true (p99 < 0.05);
+          (* the refused worker is free again *)
+          match C.solve fast "gen grid2d size=7 :: minmem" with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "solve after the refusal: %s" e))
+
+let test_source_cache_stats () =
+  with_server (fun srv ->
+      C.with_connection ~port:(Srv.port srv) (fun c ->
+          for _ = 1 to 3 do
+            match C.solve c "gen grid2d size=8 :: minmem" with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "solve: %s" e
+          done;
+          match C.call c P.Stats with
+          | Ok (P.Stats_reply j) ->
+              let module Json = Tt_engine.Telemetry.Json in
+              let jobs =
+                Option.bind (Json.member "metrics" j) (Json.member "jobs")
+              in
+              let int_at field =
+                match Option.bind jobs (Json.member field) with
+                | Some (Json.Int n) -> n
+                | _ -> Alcotest.failf "missing metrics.jobs.%s" field
+              in
+              Alcotest.(check int) "one miss" 1 (int_at "source_cache_misses");
+              Alcotest.(check int) "two hits" 2 (int_at "source_cache_hits");
+              Alcotest.(check int) "no evictions" 0 (int_at "source_cache_evictions");
+              let text = M.to_prometheus (M.snapshot (Srv.metrics srv)) in
+              Alcotest.(check bool) "prometheus family" true
+                (H.contains text "tt_server_source_cache_hits_total 2")
+          | _ -> Alcotest.fail "expected a stats reply"))
+
 let () =
   H.run "server"
     [ ( "protocol",
@@ -943,7 +1070,10 @@ let () =
           H.case "idle eviction" test_idle_eviction;
           H.case "max inflight per connection" test_max_inflight;
           H.case "replay dedup" test_replay_dedup;
-          H.case "stats sections" test_stats_sections
+          H.case "stats sections" test_stats_sections;
+          H.case "bad entries refused" test_bad_entries_refused;
+          H.case "slow source under deadline" test_slow_source_under_deadline;
+          H.case "source cache stats" test_source_cache_stats
         ] );
       ( "supervision",
         [ H.case "worker crash" test_worker_crash_supervision;
