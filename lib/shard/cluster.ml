@@ -43,7 +43,6 @@ type t = {
   restart_delay_s : float;
   on_event : event -> unit;
   stop : bool Atomic.t;
-  mutable watchdog : unit Domain.t option;
   mutable supervisor : unit Domain.t option;
 }
 
@@ -258,7 +257,6 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
       restart_delay_s;
       on_event;
       stop = Atomic.make false;
-      watchdog = None;
       supervisor = None
     }
   in
@@ -268,29 +266,21 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
       if idx < 0 || idx >= shards then
         invalid_arg "Cluster.start: kill_after shard out of range";
       (* Deterministic mid-run kill: trip on the router's forward
-         count, not on wall time, so "killed after ~N requests" holds
-         at any load rate. *)
-      let d =
-        Domain.spawn (fun () ->
-            let rec watch () =
-              if not (Atomic.get t.stop) then
-                if
-                  (Metrics.snapshot (Router.metrics router)).Metrics
-                    .forwards_total >= threshold
-                then
-                  Option.iter
-                    (fun server ->
-                      t.shards.(idx).server <- None;
-                      Server.shutdown server)
-                    t.shards.(idx).server
-                else begin
-                  Unix.sleepf 0.02;
-                  watch ()
-                end
-            in
-            watch ())
-      in
-      t.watchdog <- Some d);
+         count, not on wall time, and inside the forward that reaches
+         the threshold, so every later op already meets the dead shard
+         however fast the requests come. *)
+      let tripped = Atomic.make false in
+      Metrics.set_on_forward (Router.metrics router) (fun total ->
+          if
+            total >= threshold
+            && (not (Atomic.get t.stop))
+            && Atomic.compare_and_set tripped false true
+          then
+            Option.iter
+              (fun server ->
+                t.shards.(idx).server <- None;
+                Server.shutdown server)
+              t.shards.(idx).server));
   if supervise then start_supervisor t;
   t
 
@@ -395,8 +385,6 @@ let prometheus t = Metrics.to_prometheus (snapshot t)
 
 let stop t =
   Atomic.set t.stop true;
-  Option.iter Domain.join t.watchdog;
-  t.watchdog <- None;
   Option.iter Domain.join t.supervisor;
   t.supervisor <- None;
   Router.shutdown t.router;

@@ -62,10 +62,10 @@ val start :
     for breakers to open and failover to engage. [on_event] observes
     supervision and membership transitions (called from the acting
     domain; must not block). [server_config] seeds every shard's
-    config (host/port/workers overridden). [kill_after:(i, n)] spawns
-    a watchdog that gracefully shuts shard [i] down once the router
-    has forwarded [n] ops — a deterministic mid-run kill for failover
-    tests, counted in forwards rather than wall time.
+    config (host/port/workers overridden). [kill_after:(i, n)] gracefully
+    shuts shard [i] down inside the router's [n]th forward, before
+    that op is sent — a deterministic mid-run kill for failover tests,
+    counted in forwards rather than wall time.
     @raise Invalid_argument on [shards < 1], [restart_delay_s < 0], or
     an out-of-range [kill_after] index. *)
 

@@ -23,6 +23,8 @@ type t = {
   mutable deadline_rejects : int;
   mutable downtime_s : float;
   mutable ring_epoch : int;
+  mutable forwards_seen : int;
+  mutable on_forward : int -> unit;  (* called outside [mu] *)
 }
 
 let create () =
@@ -40,7 +42,9 @@ let create () =
     hedges = Hashtbl.create 4;
     deadline_rejects = 0;
     downtime_s = 0.;
-    ring_epoch = 0
+    ring_epoch = 0;
+    forwards_seen = 0;
+    on_forward = ignore
   }
 
 let locked t f =
@@ -48,9 +52,16 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let forward t ~shard =
-  locked t (fun () ->
-      Hashtbl.replace t.forwards shard
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.forwards shard)))
+  let total, hook =
+    locked t (fun () ->
+        Hashtbl.replace t.forwards shard
+          (1 + Option.value ~default:0 (Hashtbl.find_opt t.forwards shard));
+        t.forwards_seen <- t.forwards_seen + 1;
+        (t.forwards_seen, t.on_forward))
+  in
+  hook total
+
+let set_on_forward t f = locked t (fun () -> t.on_forward <- f)
 
 let failover t = locked t (fun () -> t.failovers <- t.failovers + 1)
 let reject t = locked t (fun () -> t.rejects <- t.rejects + 1)

@@ -16,7 +16,13 @@ val create : unit -> t
 
 val forward : t -> shard:string -> unit
 (** An op was handed to [shard] (counted per attempt: a solve that
-    fails over counts once per shard tried). *)
+    fails over counts once per shard tried). Then calls the
+    {!set_on_forward} hook with the new total, before the op is sent. *)
+
+val set_on_forward : t -> (int -> unit) -> unit
+(** Install the hook {!forward} calls, in the forwarding domain and
+    outside the counters' lock, with the running forward total
+    (default: none). *)
 
 val failover : t -> unit
 (** The preferred shard failed and the sweep moved to a successor. *)

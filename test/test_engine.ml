@@ -722,7 +722,7 @@ let () =
           H.case "never raises" test_manifest_never_raises;
           H.case "source caps" test_manifest_caps
         ] );
-      ( "source cache",
+      ( "sources",
         [ H.case "canonical keys" test_source_cache_canonical_keys;
           H.case "lru under a node bound" test_source_cache_lru;
           H.case "file content digest" test_source_cache_file_digest;
