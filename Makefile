@@ -21,17 +21,23 @@ batch-smoke:
 	rm -f _batch_smoke.manifest
 
 # Quick seeded pass of the core-solver benchmark harness. Besides the
-# timings, every row of BENCH_CORE.json carries a result digest, so two
-# runs of this target on different revisions double as a behavioural
-# regression check (compare the result_digest fields, not the times).
-# The quick mode includes the huge-family rows at p = 1M; the kernel
-# itself fails the run when a certified minmem-approx gap exceeds the
-# pinned threshold, and `timeout` bounds the wall time so a scaling
-# regression fails the gate instead of wedging CI.
+# timings, every row of BENCH_CORE.json carries a result digest; the
+# (kernel, instance, result_digest) triples must equal the pinned
+# bench/baseline/perf-smoke.digests, so any behavioural change in a
+# kernel fails the gate. A change that is meant to move a digest
+# regenerates that file and says why. The quick mode includes the
+# huge-family rows at p = 1M; the kernel itself fails the run when a
+# certified minmem-approx gap exceeds the pinned threshold, and
+# `timeout` bounds the wall time so a scaling regression fails the gate
+# instead of wedging CI.
 perf-smoke: build
 	timeout 600 dune exec bin/treetrav.exe -- perf --quick --out BENCH_CORE.json
-	grep -q '"kernel": "huge/minmem-approx"' BENCH_CORE.json \
-	  || { echo "perf-smoke: huge-family rows missing from BENCH_CORE.json"; exit 1; }
+	sed -n 's/.*"kernel": "\([^"]*\)", "instance": "\([^"]*\)".*"result_digest": "\([^"]*\)".*/\1 \2 \3/p' \
+	  BENCH_CORE.json > _perf_smoke.digests
+	cmp bench/baseline/perf-smoke.digests _perf_smoke.digests \
+	  || { diff bench/baseline/perf-smoke.digests _perf_smoke.digests; \
+	       echo "perf-smoke: result digests differ from bench/baseline/perf-smoke.digests"; exit 1; }
+	rm -f _perf_smoke.digests
 
 # Scheduling-tier smoke gate. The same par-schedule/pareto manifest
 # must produce bit-identical results digests via direct batch (at two

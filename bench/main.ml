@@ -581,14 +581,13 @@ let ablation_child_order () =
       ( "natural order",
         fun tree ->
           float_of_int
-            (Tt_core.Postorder_opt.peak_with_child_order tree (fun i ->
-                 tree.T.children.(i))) );
+            (Tt_core.Postorder_opt.peak_with_child_order tree (T.children tree)) );
       ( "increasing subtree peak",
         fun tree ->
           let peaks = Tt_core.Postorder_opt.subtree_peaks tree in
           float_of_int
             (Tt_core.Postorder_opt.peak_with_child_order tree (fun i ->
-                 let cs = Array.copy tree.T.children.(i) in
+                 let cs = T.children tree i in
                  Array.sort (fun a b -> compare peaks.(a) peaks.(b)) cs;
                  cs)) )
     ]
@@ -1174,13 +1173,13 @@ let perf_section () =
 (* ------------------------------------------------------------------ huge *)
 
 (* The huge-tree tier end to end: streaming generation plus certified
-   MinMem bounds at p = 1M and 10M on the three flat-tree families. Each
+   MinMem bounds at p = 1M and 10M on the three streamed families. Each
    row prints the certified [lower, upper] sandwich and its gap; the 10M
    rows also print the per-node slowdown against the 1M row of the same
    family — the near-linearity witness (1.00x = perfectly linear in p).
    Opt-in via --section huge: the 10M rows allocate ~1 GB per instance. *)
 let huge_section () =
-  header "Huge" "certified MinMem bounds at p = 1M / 10M, flat-tree tier";
+  header "Huge" "certified MinMem bounds at p = 1M / 10M";
   let module Ma = Tt_core.Minmem_approx in
   let families =
     [ ( "caterpillar",

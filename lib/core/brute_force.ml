@@ -76,12 +76,8 @@ let feasible_with_evictions t ~memory order ~evicted =
           if usage > memory then ok := false
           else begin
             if not (is_evicted i) then resident := !resident - t.Tree.f.(i);
-            let kept =
-              Array.fold_left
-                (fun acc c -> if is_evicted c then acc else acc + t.Tree.f.(c))
-                0 t.Tree.children.(i)
-            in
-            resident := !resident + kept
+            Tree.iter_children t i (fun c ->
+                if not (is_evicted c) then resident := !resident + t.Tree.f.(c))
           end
         end
       done);

@@ -96,7 +96,7 @@ let check tree ~memory s =
                 executed.(i) <- true;
                 ready.(i) <- false;
                 mavail := !mavail + tree.Tree.f.(i) - Tree.sum_children_f tree i;
-                Array.iter (fun j -> ready.(j) <- true) tree.Tree.children.(i);
+                Tree.iter_children tree i (fun j -> ready.(j) <- true);
                 incr step
               end
             end

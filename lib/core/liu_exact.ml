@@ -6,8 +6,10 @@ let compute ~release t =
   let prof : Segments.t array = Array.make p Segments.empty in
   Array.iter
     (fun i ->
+      let off = t.Tree.child_off.(i) in
+      let deg = Tree.degree t i in
       let merged =
-        Segments.merge_array (Array.map (fun c -> prof.(c)) t.Tree.children.(i))
+        Segments.merge_array (Array.init deg (fun k -> prof.(t.Tree.child.(off + k))))
       in
       (* executing i (in-tree direction): all children files are live, the
          execution and output files are allocated, then the children files
@@ -15,8 +17,7 @@ let compute ~release t =
       prof.(i) <-
         Segments.append_parent merged ~hill:(Tree.mem_req t i) ~valley:t.Tree.f.(i)
           ~node:i;
-      if release then
-        Array.iter (fun c -> prof.(c) <- Segments.empty) t.Tree.children.(i))
+      if release then Tree.iter_children t i (fun c -> prof.(c) <- Segments.empty))
     (Tree.bottom_up_order t);
   prof
 

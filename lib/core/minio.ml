@@ -335,11 +335,9 @@ let run tree ~memory ~order policy =
       end
       else resident.(j) <- false;
       mavail := !mavail + tree.Tree.f.(j) - Tree.sum_children_f tree j;
-      Array.iter
-        (fun ch ->
+      Tree.iter_children tree j (fun ch ->
           resident.(ch) <- true;
-          cand_add c ch)
-        tree.Tree.children.(j);
+          cand_add c ch);
       incr step
     end
   done;
@@ -401,12 +399,10 @@ let divisible_lower_bound tree ~memory ~order =
       (* consume j's input, produce the children files *)
       resident_total := !resident_total -. resident.(j);
       resident.(j) <- 0.0;
-      Array.iter
-        (fun ch ->
+      Tree.iter_children tree j (fun ch ->
           resident.(ch) <- float_of_int tree.Tree.f.(ch);
           resident_total := !resident_total +. resident.(ch);
-          if resident.(ch) > 0.0 then Os.add os pos.(ch))
-        tree.Tree.children.(j);
+          if resident.(ch) > 0.0 then Os.add os pos.(ch));
       incr step
     end
   done;

@@ -75,11 +75,9 @@ let given_order ?(cancel = Tt_util.Cancel.never) ?(node_budget = 2_000_000) t
              end;
              total := !total -. amount.(j);
              amount.(j) <- 0.0;
-             Array.iter
-               (fun c ->
+             Tree.iter_children t j (fun c ->
                  amount.(c) <- float_of_int t.Tree.f.(c);
                  total := !total +. amount.(c))
-               t.Tree.children.(j)
            done;
            ()
          with Exit -> io := infinity);
@@ -108,7 +106,7 @@ let given_order ?(cancel = Tt_util.Cancel.never) ?(node_budget = 2_000_000) t
               end
               else resident.(j) <- false;
               mavail := !mavail + t.Tree.f.(j) - Tree.sum_children_f t j;
-              Array.iter (fun c -> resident.(c) <- true) t.Tree.children.(j);
+              Tree.iter_children t j (fun c -> resident.(c) <- true);
               incr k
             end
             else stuck := true

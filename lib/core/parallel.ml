@@ -10,8 +10,9 @@ let levels t ~work =
   Array.sort (fun a b -> compare d.(b) d.(a)) order;
   Array.iter
     (fun i ->
-      let below = Array.fold_left (fun acc c -> max acc lvl.(c)) 0 t.Tree.children.(i) in
-      lvl.(i) <- work i + below)
+      let below = ref 0 in
+      Tree.iter_children t i (fun c -> below := max !below lvl.(c));
+      lvl.(i) <- work i + !below)
     order;
   lvl
 
@@ -176,7 +177,7 @@ let list_schedule ?priority t ~procs ~memory ~work =
           free_procs := proc_of.(j) :: !free_procs;
           (* extras and the consumed input die; children files are born *)
           usage := !usage - extra j - t.Tree.f.(j) + Tree.sum_children_f t j;
-          ready := Array.to_list t.Tree.children.(j) @ !ready)
+          ready := Array.to_list (Tree.children t j) @ !ready)
         !completed;
       try_start ()
     end

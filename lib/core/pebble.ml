@@ -10,7 +10,7 @@ let labels_with combine t =
   let lab = Array.make (Tree.size t) 1 in
   Array.iter
     (fun i ->
-      let cs = Array.map (fun c -> lab.(c)) t.Tree.children.(i) in
+      let cs = Array.map (fun c -> lab.(c)) (Tree.children t i) in
       if Array.length cs > 0 then begin
         Array.sort (fun a b -> compare b a) cs;
         lab.(i) <- combine cs

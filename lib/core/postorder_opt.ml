@@ -3,7 +3,7 @@
    whose peak exceeds its own file the least. (This is the reversal of
    Liu's decreasing rule for bottom-up in-trees.) *)
 let sorted_children t peaks i =
-  let cs = Array.copy t.Tree.children.(i) in
+  let cs = Tree.children t i in
   Array.sort
     (fun a b -> Int.compare (peaks.(a) - t.Tree.f.(a)) (peaks.(b) - t.Tree.f.(b)))
     cs;
@@ -97,7 +97,7 @@ let all_postorders t =
   in
   (* all traversals of the subtree rooted at i, each as a node list *)
   let rec subtree i =
-    let cs = Array.to_list t.Tree.children.(i) in
+    let cs = Array.to_list (Tree.children t i) in
     let child_seqs = List.map subtree cs in
     (* for each permutation of children, all combinations of their
        sub-traversals *)

@@ -12,21 +12,22 @@ let simulate t order on_step =
   if Array.length order <> p then
     Invalid_order { step = -1; node = -1; reason = "wrong length" }
   else begin
-    let ready = Array.make p false in
-    let executed = Array.make p false in
-    ready.(t.Tree.root) <- true;
+    (* one byte per node, not one word: this runs on 10M-node trees *)
+    let ready = Bytes.make p '\000' in
+    let executed = Bytes.make p '\000' in
+    Bytes.set ready t.Tree.root '\001';
     (* ready_f = sum of f over ready nodes *)
     let ready_f = ref t.Tree.f.(t.Tree.root) in
     let result = ref None in
     let step = ref 0 in
-    while !result = None && !step < p do
+    while Option.is_none !result && !step < p do
       let k = !step in
       let i = order.(k) in
       if i < 0 || i >= p then
         result := Some (Invalid_order { step = k; node = i; reason = "node out of range" })
-      else if executed.(i) then
+      else if Bytes.get executed i = '\001' then
         result := Some (Invalid_order { step = k; node = i; reason = "duplicate node" })
-      else if not ready.(i) then
+      else if Bytes.get ready i <> '\001' then
         result :=
           Some (Invalid_order { step = k; node = i; reason = "parent not yet executed" })
       else begin
@@ -35,10 +36,10 @@ let simulate t order on_step =
         (match on_step k i usage with
         | Some err -> result := Some err
         | None ->
-            executed.(i) <- true;
-            ready.(i) <- false;
+            Bytes.set executed i '\001';
+            Bytes.set ready i '\000';
             ready_f := !ready_f - t.Tree.f.(i) + out;
-            Array.iter (fun j -> ready.(j) <- true) t.Tree.children.(i);
+            Tree.iter_children t i (fun j -> Bytes.set ready j '\001');
             incr step)
       end
     done;
@@ -93,7 +94,7 @@ let top_down_order t =
     let i = Queue.pop queue in
     order.(!k) <- i;
     incr k;
-    Array.iter (fun j -> Queue.add j queue) t.Tree.children.(i)
+    Tree.iter_children t i (fun j -> Queue.add j queue)
   done;
   order
 
@@ -110,7 +111,7 @@ let all_orders t =
           order.(step) <- i;
           let ready' =
             List.filter (fun j -> j <> i) ready
-            @ Array.to_list t.Tree.children.(i)
+            @ Array.to_list (Tree.children t i)
           in
           go (step + 1) ready')
         ready
@@ -130,6 +131,6 @@ let random_order ~rng t =
     Tt_util.Dynarray_compat.set ready pos (Tt_util.Dynarray_compat.last ready);
     ignore (Tt_util.Dynarray_compat.pop_last ready);
     order.(step) <- i;
-    Array.iter (Tt_util.Dynarray_compat.add_last ready) t.Tree.children.(i)
+    Tree.iter_children t i (Tt_util.Dynarray_compat.add_last ready)
   done;
   order

@@ -23,17 +23,32 @@
 
 type t = private {
   parent : int array;  (** [parent.(i)] is [i]'s parent, [-1] for the root. *)
-  children : int array array;  (** Children lists, consistent with [parent]. *)
+  child_off : int array;  (** CSR offsets, length [p + 1]. *)
+  child : int array;
+      (** CSR children, length [p - 1]: the children of [i] are
+          [child.(child_off.(i)) .. child.(child_off.(i + 1) - 1)], sorted
+          by increasing index. *)
   f : int array;  (** Input-file sizes [f_i >= 0]. *)
   n : int array;  (** Execution-file sizes [n_i], possibly negative. *)
   root : int;  (** The unique node with [parent = -1]. *)
 }
-(** A weighted rooted tree. Values are created only through {!make} (or
-    {!of_parents}), which validates the structure, so a [t] is always a
-    well-formed tree. *)
+(** A weighted rooted tree in a flat layout: five int arrays and no
+    per-node record, so a tree costs 5p words, builds in O(p) and stays
+    cache-friendly up to p = 10M. Values are created only through
+    {!of_arrays}, {!make} or {!of_parents}, which validate the structure,
+    so a [t] is always a well-formed tree. Every traversal here is
+    iterative: no OCaml stack frame grows with tree height. *)
+
+val of_arrays : parent:int array -> f:int array -> n:int array -> t
+(** [of_arrays ~parent ~f ~n] validates in O(p) (single root, in-range
+    acyclic parents, [f >= 0]) and builds the CSR adjacency. The arrays
+    are {e taken over without copying} (at 10M nodes a defensive copy
+    would double the footprint), so the caller must not mutate them
+    afterwards.
+    @raise Invalid_argument on malformed input, as {!make}. *)
 
 val make : parent:int array -> f:int array -> n:int array -> t
-(** [make ~parent ~f ~n] builds and validates a tree.
+(** [make ~parent ~f ~n] is {!of_arrays} on copies of the arrays.
     @raise Invalid_argument if the arrays disagree in length, if there is
     not exactly one root, if the parent pointers contain a cycle or go out
     of range, or if some [f.(i) < 0]. *)
@@ -43,6 +58,17 @@ val of_parents : int array -> t
 
 val size : t -> int
 (** Number of nodes [p]. *)
+
+val degree : t -> int -> int
+(** Number of children of node [i]. *)
+
+val iter_children : t -> int -> (int -> unit) -> unit
+(** [iter_children t i fn] applies [fn] to the children of [i] in
+    increasing index order, without allocating. *)
+
+val children : t -> int -> int array
+(** A fresh array of the children of [i], in increasing index order.
+    Allocates; hot loops use {!iter_children} or the CSR offsets. *)
 
 val mem_req : t -> int -> int
 (** [mem_req t i] is Equation (1):
@@ -63,7 +89,8 @@ val is_leaf : t -> int -> bool
 (** Whether node [i] has no children. *)
 
 val depth : t -> int array
-(** [depth t] gives each node's distance from the root (root = 0). *)
+(** [depth t] gives each node's distance from the root (root = 0).
+    Iterative BFS, O(p). *)
 
 val bottom_up_order : t -> int array
 (** All nodes ordered by decreasing depth (ascending index within one
@@ -74,7 +101,7 @@ val height : t -> int
 (** Longest root-to-leaf path length (in edges); 0 for a single node. *)
 
 val subtree_sizes : t -> int array
-(** [.(i)] is the number of nodes in the subtree rooted at [i]. *)
+(** [.(i)] is the number of nodes in the subtree rooted at [i]. O(p). *)
 
 val map_weights : f:(int -> int) -> n:(int -> int) -> t -> t
 (** New tree with the same shape, [f] and [n] rewritten pointwise from the
@@ -106,3 +133,14 @@ val random_shape :
   rng:Tt_util.Rng.t -> size:int -> max_degree:int -> t
 (** Random tree with bounded arity and zero weights, for shape-sensitive
     tests. *)
+
+val digest : t -> string
+(** Hex digest of the complete structure and weights, computed over
+    fixed-size chunks so no O(p)-byte intermediate string is built. Two
+    trees digest equal iff parents, weights and root agree: the anchor
+    of the generator-determinism tests. *)
+
+val digest_ints : int array -> string
+(** Chunked hex digest of an int array, used to summarize
+    multi-million-entry traversal orders in benchmark payloads without
+    serializing them. *)

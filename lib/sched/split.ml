@@ -13,8 +13,8 @@ let subtree_work t ~work =
   let w = Array.make p 0 in
   Array.iter
     (fun i ->
-      w.(i) <-
-        Array.fold_left (fun acc c -> acc + w.(c)) (work i) t.T.children.(i))
+      w.(i) <- work i;
+      T.iter_children t i (fun c -> w.(i) <- w.(i) + w.(c)))
     (T.bottom_up_order t);
   w
 
@@ -58,9 +58,7 @@ let plan t ~procs ~work =
         incr pops;
         tail_work := !tail_work + work i;
         total := !total - work i;
-        Array.iter
-          (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)))
-          t.T.children.(i);
+        T.iter_children t i (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)));
         let max_w = -snd (Tt_util.Int_heap.min_elt heap) in
         let e = estimate ~procs ~tail_work:!tail_work ~max_w ~total_w:!total in
         if e < fst !best then best := (e, !pops)
@@ -80,9 +78,7 @@ let plan t ~procs ~work =
     let i, _ = Tt_util.Int_heap.pop_min heap in
     tail.(k) <- i;
     tail_work := !tail_work + work i;
-    Array.iter
-      (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)))
-      t.T.children.(i)
+    T.iter_children t i (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)))
   done;
   let subs = ref [] in
   while not (Tt_util.Int_heap.is_empty heap) do
@@ -113,7 +109,7 @@ let subtree_order t r =
   let rec visit i =
     nodes := i :: !nodes;
     incr count;
-    Array.iter visit t.T.children.(i)
+    T.iter_children t i visit
   in
   visit r;
   let nodes = Array.of_list (List.rev !nodes) in

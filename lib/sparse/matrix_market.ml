@@ -75,6 +75,12 @@ let float_of lineno s =
 (* Number of numeric tokens per data line after the indices. *)
 let value_arity = function Pattern -> 0 | Real | Integer -> 1 | Complex -> 2
 
+let symmetry_name = function
+  | General -> "general"
+  | Symmetric -> "symmetric"
+  | Skew_symmetric -> "skew-symmetric"
+  | Hermitian -> "hermitian"
+
 let parse_string ?(expand_symmetry = true) text =
   let lines = String.split_on_char '\n' text in
   let lines = Array.of_list lines in
@@ -116,6 +122,12 @@ let parse_string ?(expand_symmetry = true) text =
       (Printf.sprintf "non-positive dimensions: %d x %d" nrows ncols);
   if stated_nnz < 0 then
     fail size_ln (Printf.sprintf "negative entry count: %d" stated_nnz);
+  (* mirrored storage of a non-square shape would place entries outside
+     it (and an array listing of it could loop over empty columns) *)
+  if symmetry <> General && nrows <> ncols then
+    fail size_ln
+      (Printf.sprintf "%s storage of a non-square %d x %d matrix"
+         (symmetry_name symmetry) nrows ncols);
   let header = { format; field; symmetry; nrows; ncols; nnz = stated_nnz } in
   let t = Triplet.create ~nrows ~ncols in
   let mirror i j v =
@@ -156,15 +168,17 @@ let parse_string ?(expand_symmetry = true) text =
   | Array_format ->
       if field = Pattern then fail 1 "array format cannot be pattern";
       let arity = value_arity field in
-      (* column-major dense listing; symmetric files list the lower
-         triangle of each column only *)
-      let expect_for_col j =
-        match symmetry with General -> nrows | _ -> nrows - j
+      (* column-major dense listing; symmetric and hermitian files list
+         the lower triangle of each column only, skew-symmetric files the
+         strictly lower one (their diagonal is zero) *)
+      let start_row j =
+        match symmetry with
+        | General -> 0
+        | Symmetric | Hermitian -> j
+        | Skew_symmetric -> j + 1
       in
       for j = 0 to ncols - 1 do
-        let start_row = match symmetry with General -> 0 | _ -> j in
-        for k = 0 to expect_for_col j - 1 do
-          let i = start_row + k in
+        for i = start_row j to nrows - 1 do
           match next_content () with
           | None -> fail n_lines "unexpected end of file in array data"
           | Some (ln, l) -> begin
@@ -177,9 +191,7 @@ let parse_string ?(expand_symmetry = true) text =
                     | _ -> fail ln "wrong number of values"
                   in
                   if v <> 0. then begin
-                    (match symmetry with
-                    | Skew_symmetric when i = j -> ()
-                    | _ -> Triplet.add t i j v);
+                    Triplet.add t i j v;
                     mirror i j v
                   end
               | _ -> fail ln "malformed array value line"
@@ -200,12 +212,6 @@ let field_name = function
   | Integer -> "integer"
   | Complex -> "complex"
   | Pattern -> "pattern"
-
-let symmetry_name = function
-  | General -> "general"
-  | Symmetric -> "symmetric"
-  | Skew_symmetric -> "skew-symmetric"
-  | Hermitian -> "hermitian"
 
 let to_string ?(field = Real) ?(symmetry = General) (a : Csr.t) =
   let buf = Buffer.create 1024 in

@@ -30,9 +30,10 @@ exception Parse_error of { line : int; message : string }
 (** Raised on malformed input, with a 1-based line number. Rejected
     beyond the obvious syntax errors: non-finite values ([nan]/[inf] —
     they would silently poison every downstream weight), non-positive
-    dimensions, a negative entry count, indices outside the declared
-    shape, and integers too large for the native [int] (reported as
-    overflow, not as garbage). *)
+    dimensions, a negative entry count, symmetric, skew-symmetric or
+    hermitian storage of a non-square shape, indices outside the
+    declared shape, and integers too large for the native [int]
+    (reported as overflow, not as garbage). *)
 
 val parse_string : ?expand_symmetry:bool -> string -> header * Triplet.t
 (** Parse an MM document. With [expand_symmetry] (default [true]),

@@ -112,7 +112,7 @@ let corpus_instances mode =
          { name = "corpus/" ^ inst.name; tree = Lazy.from_val inst.tree })
 
 (* --- huge family --------------------------------------------------------
-   Flat-tree instances at p = 1M (both modes) and 10M (full mode),
+   Streamed instances at p = 1M (both modes) and 10M (full mode),
    generated by the streaming [Huge] generators and measured once each
    ([max_reps = 1] — a 10M kernel run is tens of seconds). Instances are
    rebuilt inside each run rather than shared: rebuilding is O(p) and
@@ -157,11 +157,11 @@ let huge_family mode =
           in
           [
             hspec "gen" (fun () ->
-                Printf.sprintf "digest=%s" (Flat_tree.digest (instance ())));
+                Printf.sprintf "digest=%s" (Tree.digest (instance ())));
             hspec "postorder" (fun () ->
-                let peak, order = Flat_tree.postorder_run (instance ()) in
+                let peak, order = Postorder_opt.run (instance ()) in
                 Printf.sprintf "mem=%d\norder_digest=%s" peak
-                  (Flat_tree.digest_ints order));
+                  (Tree.digest_ints order));
             hspec "minmem-approx" (fun () ->
                 let b = Minmem_approx.run (instance ()) in
                 let gap = Minmem_approx.gap b in
@@ -176,7 +176,7 @@ let huge_family mode =
                    order_digest=%s"
                   b.Minmem_approx.lower b.Minmem_approx.upper gap
                   b.Minmem_approx.rounds b.Minmem_approx.exact
-                  (Flat_tree.digest_ints b.Minmem_approx.order));
+                  (Tree.digest_ints b.Minmem_approx.order));
           ])
         families)
     sizes

@@ -1,119 +1,97 @@
-(* The huge-tree tier: flat trees must be bit-identical to the [Tree.t]
-   kernels they transcribe, the certified Minmem_approx bounds must
+(* The huge-tree tier: the flat [Tree.t] layout must validate and
+   round-trip, its kernels must match the reference transcriptions of
+   [Parity_ref] bit for bit, the certified Minmem_approx bounds must
    really sandwich the exact optimum (gap 0 wherever the exact answer is
    affordable), the segment truncations must preserve the canonical
    invariants, and the streaming generators must be deterministic across
    runs and domain counts. *)
 
 module T = Tt_core.Tree
-module Ft = Tt_core.Flat_tree
 module Ma = Tt_core.Minmem_approx
 module Seg = Tt_core.Segments
 module Traversal = Tt_core.Traversal
 module Liu = Tt_core.Liu_exact
 module Huge = Tt_workloads.Huge
 module H = Helpers
+open Parity_ref
 
-(* the parity corpus of test_perf_parity: every family the paper's
-   experiments exercise, with index-hashed weights *)
-let hash_weight i m = 1 + (i * 2654435761) land max_int mod m
+(* --- construction ---------------------------------------------------------- *)
 
-let reweight ~max_f t =
-  T.map_weights ~f:(fun i -> hash_weight i max_f) ~n:(fun i -> hash_weight (i + 1) 7 - 1) t
-
-let family_instances =
-  let module I = Tt_core.Instances in
-  [ ("chain-stair", reweight ~max_f:401 (I.chain ~length:120 ~f:1 ~n:0));
-    ("binary-rand", reweight ~max_f:401 (I.complete_binary ~levels:6 ~f:1 ~n:0));
-    ("star", I.star ~branches:60 ~f_root:3 ~f_leaf:7 ~n:5);
-    ("harpoon", I.harpoon_nested ~branches:2 ~levels:5 ~m:64 ~eps:3);
-    ("caterpillar", reweight ~max_f:97 (I.caterpillar ~length:40 ~leaves_per_node:3 ~f:7 ~n:3));
-    ("random", T.random ~rng:(Tt_util.Rng.create 97) ~size:150 ~max_f:50 ~max_n:9)
-  ]
-
-(* --- conversion ---------------------------------------------------------- *)
+(* of_arrays takes its arrays over, so feed it copies *)
+let of_copies t =
+  T.of_arrays ~parent:(Array.copy t.T.parent) ~f:(Array.copy t.T.f)
+    ~n:(Array.copy t.T.n)
 
 let test_roundtrip () =
   List.iter
     (fun (name, tree) ->
-      let ft = Ft.of_tree tree in
-      Alcotest.(check bool) (name ^ " roundtrip") true (T.equal tree (Ft.to_tree ft));
-      Alcotest.(check (array int)) (name ^ " depth") (T.depth tree) (Ft.depth ft);
-      Alcotest.(check (array int))
-        (name ^ " bottom-up")
-        (T.bottom_up_order tree) (Ft.bottom_up_order ft);
-      Alcotest.(check int) (name ^ " height") (T.height tree) (Ft.height ft);
-      Alcotest.(check int) (name ^ " max-mem-req") (T.max_mem_req tree) (Ft.max_mem_req ft);
-      Alcotest.(check int) (name ^ " total-f") (T.total_f tree) (Ft.total_f ft);
-      for i = 0 to T.size tree - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "%s mem-req %d" name i)
-          (T.mem_req tree i) (Ft.mem_req ft i);
-        Alcotest.(check bool)
-          (Printf.sprintf "%s leaf %d" name i)
-          (T.is_leaf tree i) (Ft.is_leaf ft i)
+      let p = T.size tree in
+      let rebuilt = of_copies tree in
+      Alcotest.(check bool) (name ^ " of_arrays roundtrip") true (T.equal tree rebuilt);
+      Alcotest.(check string) (name ^ " digest") (T.digest tree) (T.digest rebuilt);
+      Alcotest.(check bool)
+        (name ^ " string roundtrip")
+        true
+        (T.equal tree (T.of_string (T.to_string tree)));
+      (* the CSR slices list exactly the nodes whose parent is i, in
+         increasing order *)
+      Alcotest.(check int) (name ^ " offsets") (p - 1) tree.T.child_off.(p);
+      for i = 0 to p - 1 do
+        let expect = List.filter (fun j -> tree.T.parent.(j) = i) (List.init p Fun.id) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s children %d" name i)
+          expect
+          (Array.to_list (T.children tree i));
+        Alcotest.(check int) (Printf.sprintf "%s degree %d" name i)
+          (List.length expect) (T.degree tree i)
       done)
     family_instances
 
 let test_of_arrays_validation () =
-  let raises f =
-    match f () with
-    | exception Invalid_argument _ -> true
-    | _ -> false
+  let expect msg parent f n =
+    Alcotest.check_raises msg (Invalid_argument ("Tree.of_arrays: " ^ msg)) (fun () ->
+        ignore (T.of_arrays ~parent ~f ~n))
   in
-  let ok = Alcotest.(check bool) in
-  ok "empty" true (raises (fun () -> Ft.of_arrays ~parent:[||] ~f:[||] ~n:[||]));
-  ok "length mismatch" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1 |] ~f:[| 1; 2 |] ~n:[| 0 |]));
-  ok "negative f" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1 |] ~f:[| -3 |] ~n:[| 0 |]));
-  ok "two roots" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; -1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
-  ok "no root" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| 1; 0 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
-  ok "out of range" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; 7 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
-  ok "self-loop" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; 1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
-  ok "cycle" true
-    (raises (fun () ->
-         Ft.of_arrays ~parent:[| -1; 2; 3; 1 |] ~f:[| 1; 1; 1; 1 |] ~n:[| 0; 0; 0; 0 |]));
-  ok "valid chain" true
-    (match Ft.of_arrays ~parent:[| -1; 0; 1 |] ~f:[| 0; 2; 3 |] ~n:[| 1; 0; 2 |] with
-    | ft -> Ft.size ft = 3 && ft.Ft.root = 0
-    | exception _ -> false)
+  expect "empty tree" [||] [||] [||];
+  expect "array length mismatch" [| -1 |] [| 1; 2 |] [| 0 |];
+  expect "f.(0) < 0" [| -1 |] [| -3 |] [| 0 |];
+  expect "several roots" [| -1; -1 |] [| 1; 1 |] [| 0; 0 |];
+  expect "no root" [| 1; 0 |] [| 1; 1 |] [| 0; 0 |];
+  expect "parent out of range" [| -1; 7 |] [| 1; 1 |] [| 0; 0 |];
+  expect "self-loop" [| -1; 1 |] [| 1; 1 |] [| 0; 0 |];
+  expect "cycle in parent pointers" [| -1; 2; 3; 1 |] [| 1; 1; 1; 1 |] [| 0; 0; 0; 0 |];
+  let t = T.of_arrays ~parent:[| -1; 0; 1 |] ~f:[| 0; 2; 3 |] ~n:[| 1; 0; 2 |] in
+  Alcotest.(check int) "valid chain size" 3 (T.size t);
+  Alcotest.(check int) "valid chain root" 0 t.T.root
 
 (* --- kernel parity -------------------------------------------------------- *)
 
 let test_kernel_parity_families () =
   List.iter
     (fun (name, tree) ->
-      let ft = Ft.of_tree tree in
-      let em, eo = Tt_core.Postorder_opt.run tree in
-      let gm, go = Ft.postorder_run ft in
+      let em, eo = ref_postorder_run tree in
+      let gm, go = Tt_core.Postorder_opt.run tree in
       Alcotest.(check int) (name ^ " postorder mem") em gm;
       Alcotest.(check (array int)) (name ^ " postorder order") eo go;
-      let lm, lo = Liu.run tree in
-      let fm, fo = Ft.liu_run ft in
+      let lm, lo = Ref_seg.liu_run tree in
+      let fm, fo = Liu.run tree in
       Alcotest.(check int) (name ^ " liu mem") lm fm;
-      Alcotest.(check (array int)) (name ^ " liu order") lo fo)
+      Alcotest.(check (array int)) (name ^ " liu order") lo fo;
+      Alcotest.(check int) (name ^ " liu peak") (ref_peak tree fo) (Traversal.peak tree fo))
     family_instances
 
 let prop_kernel_parity_random =
   H.qcheck ~count:300 "flat kernels bit-identical to Tree.t kernels"
     (H.arb_tree ~size_max:60 ())
     (fun tree ->
-      let ft = Ft.of_tree tree in
-      Tt_core.Postorder_opt.run tree = Ft.postorder_run ft
-      && Liu.run tree = Ft.liu_run ft
-      && T.bottom_up_order tree = Ft.bottom_up_order ft
-      && T.equal tree (Ft.to_tree ft))
+      ref_postorder_run tree = Tt_core.Postorder_opt.run tree
+      && Ref_seg.liu_run tree = Liu.run tree
+      && T.equal tree (of_copies tree))
 
 let prop_peak_parity =
   H.qcheck ~count:200 "flat peak simulation matches Traversal.peak"
     (H.arb_tree_with_order ~size_max:40 ())
-    (fun (tree, order) ->
-      Ft.peak (Ft.of_tree tree) order = Traversal.peak tree order)
+    (fun (tree, order) -> ref_peak tree order = Traversal.peak tree order)
 
 (* --- segment truncation --------------------------------------------------- *)
 
@@ -154,7 +132,7 @@ let test_truncate_cap_errors () =
 let test_bounds_exact_small () =
   List.iter
     (fun (name, tree) ->
-      let b = Ma.run_tree tree in
+      let b = Ma.run tree in
       let opt = Liu.min_memory tree in
       Alcotest.(check int) (name ^ " lower") opt b.Ma.lower;
       Alcotest.(check int) (name ^ " upper") opt b.Ma.upper;
@@ -168,7 +146,7 @@ let prop_bounds_exact_small =
   H.qcheck ~count:200 "gap 0 wherever the exact answer is affordable"
     (H.arb_tree ~size_max:50 ())
     (fun tree ->
-      let b = Ma.run_tree tree in
+      let b = Ma.run tree in
       let opt = Liu.min_memory tree in
       b.Ma.lower = opt && b.Ma.upper = opt && b.Ma.exact && Ma.gap b = 0.)
 
@@ -180,7 +158,7 @@ let prop_bounds_sandwich =
     (fun (tree, cap) ->
       let opt = Liu.min_memory tree in
       let b =
-        Ma.run_tree ~exact_threshold:0 ~seg_cap:cap ~tol:0. ~max_rounds:2 tree
+        Ma.run ~exact_threshold:0 ~seg_cap:cap ~tol:0. ~max_rounds:2 tree
       in
       b.Ma.lower <= opt && opt <= b.Ma.upper
       && Traversal.is_valid_order tree b.Ma.order
@@ -195,7 +173,7 @@ let prop_lb_exact_when_uncapped =
     (H.arb_tree ~size_max:60 ())
     (fun tree ->
       let b =
-        Ma.run_tree ~exact_threshold:0 ~seg_cap:1_000_000 ~tol:0. ~max_rounds:0 tree
+        Ma.run ~exact_threshold:0 ~seg_cap:1_000_000 ~tol:0. ~max_rounds:0 tree
       in
       b.Ma.lower = Liu.min_memory tree)
 
@@ -211,54 +189,67 @@ let test_generator_determinism () =
   List.iter
     (fun (name, build) ->
       (* same seed, two runs: identical digests *)
-      let a = Ft.digest (build ~domains:1 ~p:200_000 ~seed:11) in
-      let b = Ft.digest (build ~domains:1 ~p:200_000 ~seed:11) in
+      let a = T.digest (build ~domains:1 ~p:200_000 ~seed:11) in
+      let b = T.digest (build ~domains:1 ~p:200_000 ~seed:11) in
       Alcotest.(check string) (name ^ " rerun") a b;
       (* 1 vs N domains: identical instance *)
-      let par = Ft.digest (build ~domains:4 ~p:200_000 ~seed:11) in
+      let par = T.digest (build ~domains:4 ~p:200_000 ~seed:11) in
       Alcotest.(check string) (name ^ " 1-vs-4 domains") a par;
       (* a different seed changes the instance *)
-      let other = Ft.digest (build ~domains:1 ~p:200_000 ~seed:12) in
+      let other = T.digest (build ~domains:1 ~p:200_000 ~seed:12) in
       Alcotest.(check bool) (name ^ " seed sensitivity") true (a <> other))
     generators
 
 let test_generator_shapes () =
   List.iter
     (fun (name, build) ->
-      let ft = build ~domains:2 ~p:50_000 ~seed:3 in
-      Alcotest.(check int) (name ^ " size") 50_000 (Ft.size ft);
+      let t = build ~domains:2 ~p:50_000 ~seed:3 in
+      Alcotest.(check int) (name ^ " size") 50_000 (T.size t);
       (* of_arrays validated the structure; cross-check via Tree.make *)
-      let tree = Ft.to_tree ft in
-      Alcotest.(check bool) (name ^ " roundtrip") true (T.equal tree (Ft.to_tree (Ft.of_tree tree))))
+      let copy = T.make ~parent:t.T.parent ~f:t.T.f ~n:t.T.n in
+      Alcotest.(check bool) (name ^ " roundtrip") true (T.equal t copy);
+      Alcotest.(check string) (name ^ " digest") (T.digest t) (T.digest copy))
     generators
 
 let test_digest_ints () =
-  let a = Ft.digest_ints (Array.init 100_000 (fun i -> i * 7)) in
-  let b = Ft.digest_ints (Array.init 100_000 (fun i -> i * 7)) in
+  let a = T.digest_ints (Array.init 100_000 (fun i -> i * 7)) in
+  let b = T.digest_ints (Array.init 100_000 (fun i -> i * 7)) in
   Alcotest.(check string) "stable" a b;
-  let c = Ft.digest_ints (Array.init 100_000 (fun i -> i * 7 + (if i = 99_999 then 1 else 0))) in
+  let c = T.digest_ints (Array.init 100_000 (fun i -> i * 7 + (if i = 99_999 then 1 else 0))) in
   Alcotest.(check bool) "last-entry sensitivity" true (a <> c);
   (* chunked chaining must not collide length-prefix boundaries *)
   Alcotest.(check bool) "length sensitivity" true
-    (Ft.digest_ints [| 1; 2 |] <> Ft.digest_ints [| 1; 2; 0 |])
+    (T.digest_ints [| 1; 2 |] <> T.digest_ints [| 1; 2; 0 |])
 
 (* --- stack safety at depth ------------------------------------------------ *)
 
-(* p = 5M deep caterpillar (~1.7M levels): every flat path — validation
-   climb, BFS, counting sort, postorder emission, bounded Liu, peak
-   simulation — must run without growing the OCaml stack. This is the
-   smoke test the recursive implementations could not survive. *)
+(* p = 5M deep caterpillar (~1.7M levels): every path (validation climb,
+   BFS, counting sort, postorder emission, bounded Liu, peak simulation)
+   must run without growing the OCaml stack. This is the smoke test the
+   recursive implementations could not survive. *)
 let test_deep_caterpillar_5m () =
   let p = 5_000_000 in
-  let ft = Huge.caterpillar ~p ~seed:5 () in
-  Alcotest.(check int) "size" p (Ft.size ft);
-  Alcotest.(check bool) "deep" true (Ft.height ft > 1_000_000);
-  let b = Ma.run ft in
+  let t = Huge.caterpillar ~p ~seed:5 () in
+  Alcotest.(check int) "size" p (T.size t);
+  Alcotest.(check bool) "deep" true (T.height t > 1_000_000);
+  let b = Ma.run t in
   Alcotest.(check bool) "bounds ordered" true (b.Ma.lower <= b.Ma.upper);
   Alcotest.(check bool) "certified gap within pinned threshold" true
     (Ma.gap b <= 0.05);
   Alcotest.(check int) "upper is the order's simulated peak" b.Ma.upper
-    (Ft.peak ft b.Ma.order)
+    (Traversal.peak t b.Ma.order)
+
+(* Validation climbs from every node to the first validated ancestor.
+   With parents above their children, the climb from node 0 walks the
+   whole 2M-node chain: it must be a loop, not a recursion or a list. *)
+let test_deep_make () =
+  let p = 2_000_000 in
+  let parent = Array.init p (fun i -> if i = p - 1 then -1 else i + 1) in
+  let t = T.make ~parent ~f:(Array.make p 1) ~n:(Array.make p 0) in
+  Alcotest.(check int) "root" (p - 1) t.T.root;
+  Alcotest.(check int) "height" (p - 1) (T.height t);
+  parent.(0) <- 0;
+  Alcotest.(check int) "make copied its input" 1 t.T.parent.(0)
 
 (* Deep chains through the two paths the audit rewrote iteratively:
    Tree.pp's preorder walk and Amalgamation's head resolution (a fully
@@ -310,6 +301,7 @@ let () =
         ] );
       ( "deep",
         [ H.case "caterpillar p=5M end to end" test_deep_caterpillar_5m;
+          H.case "Tree.make on a 2M chain" test_deep_make;
           H.case "pp on a 2M chain" test_deep_pp;
           H.case "amalgamation head on a 2M chain" test_deep_amalgamation
         ] )

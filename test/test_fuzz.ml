@@ -1,8 +1,11 @@
 (* Fuzz tests for the untrusted parsers: manifest entries and v1 request
-   frames must map to Ok/Error on any input and never raise. *)
+   frames must map to Ok/Error on any input and never raise; Matrix
+   Market text must parse or raise [Parse_error], nothing else. *)
 
 module M = Tt_engine.Manifest
 module P = Tt_server.Protocol
+module MM = Tt_sparse.Matrix_market
+module Csr = Tt_sparse.Csr
 module H = Helpers
 
 (* ------------------------------------------------------------ manifest *)
@@ -163,6 +166,125 @@ let prop_decode_mutated_frames =
     (QCheck.make ~print:String.escaped gen)
     decodes
 
+(* ------------------------------------------------------- matrix market *)
+
+let parses_or_parse_error text =
+  match MM.parse_string text with
+  | _ -> true
+  | exception MM.Parse_error _ -> true
+
+(* Token soup: a banner assembled from real and bogus header words, a
+   size line and a few data lines, all drawn from MM keywords next to
+   numbers at every edge (overflowing, non-finite, not numbers). *)
+let gen_mm_soup =
+  let open QCheck.Gen in
+  let slot words = frequency [ (4, oneofl words); (1, oneofl ("bogus" :: numbers)) ] in
+  let token =
+    oneofl
+      ([ "%"; "%%MatrixMarket"; "matrix"; "array"; "real"; "pattern"; "nan"; "inf";
+         "-inf"; "1.5"; "-2e3"; "1e400"; "0.0" ]
+      @ numbers)
+  in
+  let banner =
+    map
+      (String.concat " ")
+      (flatten_l
+         [ slot [ "%%MatrixMarket" ];
+           slot [ "matrix" ];
+           slot [ "coordinate"; "array" ];
+           slot [ "real"; "integer"; "complex"; "pattern" ];
+           slot [ "general"; "symmetric"; "skew-symmetric"; "hermitian" ]
+         ])
+  in
+  let line = map (String.concat " ") (list_size (int_bound 4) token) in
+  let size = map (String.concat " ") (list_size (int_range 1 4) (slot [ "1"; "2"; "3" ])) in
+  map3
+    (fun b s ls -> String.concat "\n" (b :: s :: ls))
+    banner size
+    (list_size (int_bound 8) line)
+
+let prop_mm_soup =
+  H.qcheck ~count:1000 "parse_string on token soup"
+    (QCheck.make ~print:String.escaped gen_mm_soup)
+    parses_or_parse_error
+
+(* A random sparse pattern in the given field, square and mirrored when
+   [symmetric]. Values are nonzero and exactly representable in the
+   field, so a written file must read back to the same CSR. *)
+let gen_csr field ~symmetric =
+  let open QCheck.Gen in
+  int_range 1 10 >>= fun nrows ->
+  (if symmetric then return nrows else int_range 1 10) >>= fun ncols ->
+  let value =
+    match field with
+    | MM.Pattern -> return 1.
+    | MM.Integer -> map (fun k -> float_of_int (if k = 0 then 7 else k)) (int_range (-50) 50)
+    | MM.Real | MM.Complex ->
+        map (fun k -> float_of_int (if k = 0 then 3 else k) /. 7.) (int_range (-999) 999)
+  in
+  array_size (return (nrows * ncols)) (pair (float_bound_inclusive 1.) value)
+  >|= fun cells ->
+  let d = Array.make_matrix nrows ncols 0. in
+  for i = 0 to nrows - 1 do
+    for j = 0 to ncols - 1 do
+      let keep, v = cells.((i * ncols) + j) in
+      if keep < 0.3 && ((not symmetric) || j <= i) then begin
+        d.(i).(j) <- v;
+        if symmetric then d.(j).(i) <- v
+      end
+    done
+  done;
+  Csr.of_dense d
+
+let gen_mm_case =
+  let open QCheck.Gen in
+  oneofl [ MM.Real; MM.Integer; MM.Complex; MM.Pattern ] >>= fun field ->
+  oneofl [ MM.General; MM.Symmetric ] >>= fun symmetry ->
+  map (fun a -> (field, symmetry, a)) (gen_csr field ~symmetric:(symmetry = MM.Symmetric))
+
+let print_mm_case (field, symmetry, a) = MM.to_string ~field ~symmetry a
+
+let prop_mm_round_trip =
+  H.qcheck ~count:500 "to_string then parse_string round-trips"
+    (QCheck.make ~print:print_mm_case gen_mm_case)
+    (fun (field, symmetry, a) ->
+      let _, t = MM.parse_string (MM.to_string ~field ~symmetry a) in
+      Csr.of_triplet t = a)
+
+(* Valid files (written ones, and the array format) with one edit: a
+   byte replaced, a cut, a splice of a token, or a line dropped or
+   doubled. *)
+let prop_mm_mutated =
+  let gen =
+    let open QCheck.Gen in
+    frequency
+      [ (3, map print_mm_case gen_mm_case);
+        ( 1,
+          oneofl
+            [ "%%MatrixMarket matrix array real general\n2 2\n1\n0\n3\n4\n";
+              "%%MatrixMarket matrix array integer symmetric\n2 2\n5\n2\n6\n";
+              "%%MatrixMarket matrix array real skew-symmetric\n3 3\n1\n2\n3\n"
+            ] )
+      ]
+    >>= fun text ->
+    let n = String.length text in
+    int_bound (max 0 (n - 1)) >>= fun i ->
+    char >>= fun c ->
+    oneofl [ "9"; "-1"; "0"; " "; "\n"; "%"; "1e999"; "99999999999999999999" ] >>= fun tok ->
+    let lines = String.split_on_char '\n' text in
+    int_bound (List.length lines - 1) >>= fun l ->
+    oneofl
+      [ String.mapi (fun j x -> if j = i then c else x) text;
+        String.sub text 0 i;
+        String.sub text 0 i ^ tok ^ String.sub text i (n - i);
+        String.concat "\n" (List.filteri (fun k _ -> k <> l) lines);
+        String.concat "\n" (List.concat (List.mapi (fun k x -> if k = l then [ x; x ] else [ x ]) lines))
+      ]
+  in
+  H.qcheck ~count:1000 "parse_string on mutated valid files"
+    (QCheck.make ~print:String.escaped gen)
+    parses_or_parse_error
+
 let () =
   H.run "fuzz"
     [ ("manifest", [ prop_manifest_never_raises; prop_manifest_cached_agrees ]);
@@ -170,5 +292,6 @@ let () =
         [ prop_request_round_trip;
           prop_decode_random_bytes;
           prop_decode_mutated_frames
-        ] )
+        ] );
+      ("matrix", [ prop_mm_soup; prop_mm_mutated; prop_mm_round_trip ])
     ]

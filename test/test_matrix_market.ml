@@ -82,6 +82,20 @@ let test_array_symmetric () =
   Alcotest.(check (float 0.)) "lower" 2. (S.Csr.get a 1 0);
   Alcotest.(check (float 0.)) "second diag" 6. (S.Csr.get a 1 1)
 
+let test_array_skew () =
+  (* strictly lower triangle per column, no diagonal: col 1 = (2,1),(3,1);
+     col 2 = (3,2); col 3 stores nothing *)
+  let text = "%%MatrixMarket matrix array real skew-symmetric\n3 3\n1\n2\n3\n" in
+  let _, t = parse text in
+  let a = S.Csr.of_triplet t in
+  Alcotest.(check int) "nnz" 6 (S.Csr.nnz a);
+  Alcotest.(check (float 0.)) "a(1,0)" 1. (S.Csr.get a 1 0);
+  Alcotest.(check (float 0.)) "a(2,0)" 2. (S.Csr.get a 2 0);
+  Alcotest.(check (float 0.)) "a(2,1)" 3. (S.Csr.get a 2 1);
+  Alcotest.(check (float 0.)) "a(0,2)" (-2.) (S.Csr.get a 0 2);
+  Alcotest.(check (float 0.)) "a(1,2)" (-3.) (S.Csr.get a 1 2);
+  Alcotest.(check (float 0.)) "zero diagonal" 0. (S.Csr.get a 1 1)
+
 let expect_error ~line text =
   match parse text with
   | exception MM.Parse_error { line = l; _ } ->
@@ -119,6 +133,12 @@ let test_hardened_rejections () =
   expect_message ~line:2 ~fragment:"non-positive" (banner ^ "3 0 0\n");
   expect_message ~line:2 ~fragment:"non-positive" (banner ^ "-2 3 1\n1 1 1\n");
   expect_message ~line:2 ~fragment:"negative entry count" (banner ^ "2 2 -1\n");
+  (* mirrored storage needs a square shape: the mirror of (2,1) in a
+     2 x 1 matrix is outside it *)
+  expect_message ~line:2 ~fragment:"non-square"
+    "%%MatrixMarket matrix coordinate real symmetric\n2 1 1\n2 1 1.0\n";
+  expect_message ~line:2 ~fragment:"non-square"
+    "%%MatrixMarket matrix array real skew-symmetric\n3 1\n1\n2\n";
   (* 1-based indices outside the declared shape, including zero *)
   expect_message ~line:3 ~fragment:"outside" (banner ^ "2 2 1\n0 1 1.0\n");
   expect_message ~line:3 ~fragment:"outside" (banner ^ "2 2 1\n1 3 1.0\n");
@@ -178,7 +198,8 @@ let () =
           H.case "complex" test_complex_real_part;
           H.case "integer" test_integer_field;
           H.case "array" test_array_format;
-          H.case "array symmetric" test_array_symmetric
+          H.case "array symmetric" test_array_symmetric;
+          H.case "array skew-symmetric" test_array_skew
         ] );
       ( "errors",
         [ H.case "malformed inputs" test_errors;

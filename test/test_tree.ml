@@ -11,8 +11,8 @@ let test_make_valid () =
   let t = tiny () in
   Alcotest.(check int) "size" 4 (T.size t);
   Alcotest.(check int) "root" 0 t.T.root;
-  Alcotest.(check (array int)) "children of 0" [| 1; 2 |] t.T.children.(0);
-  Alcotest.(check (array int)) "children of 2" [| 3 |] t.T.children.(2);
+  Alcotest.(check (array int)) "children of 0" [| 1; 2 |] (T.children t 0);
+  Alcotest.(check (array int)) "children of 2" [| 3 |] (T.children t 2);
   Alcotest.(check bool) "leaf 1" true (T.is_leaf t 1);
   Alcotest.(check bool) "leaf 0" false (T.is_leaf t 0)
 
@@ -82,11 +82,11 @@ let prop_subtree_sizes =
     (fun t ->
       let sz = T.subtree_sizes t in
       let ok = ref (sz.(t.T.root) = T.size t) in
-      Array.iteri
-        (fun i cs ->
-          let s = Array.fold_left (fun acc c -> acc + sz.(c)) 1 cs in
-          if s <> sz.(i) then ok := false)
-        t.T.children;
+      for i = 0 to T.size t - 1 do
+        let s = ref 1 in
+        T.iter_children t i (fun c -> s := !s + sz.(c));
+        if !s <> sz.(i) then ok := false
+      done;
       !ok)
 
 let test_map_weights () =
@@ -100,10 +100,9 @@ let test_random_shape_degree () =
   let rng = Tt_util.Rng.create 3 in
   for _ = 1 to 20 do
     let t = T.random_shape ~rng ~size:40 ~max_degree:2 in
-    Array.iter
-      (fun cs ->
-        if Array.length cs > 2 then Alcotest.failf "degree %d > 2" (Array.length cs))
-      t.T.children
+    for i = 0 to T.size t - 1 do
+      if T.degree t i > 2 then Alcotest.failf "degree %d > 2" (T.degree t i)
+    done
   done
 
 let test_deep_tree_is_stack_safe () =
