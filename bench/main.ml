@@ -1019,12 +1019,14 @@ let serve_section () =
     | Some _, Some _ -> "MISMATCH vs clean run"
     | _ -> "(missing)");
   Srv.shutdown server;
-  let m = Tt_server.Metrics.snapshot (Srv.metrics server) in
+  let module M = Tt_server.Metrics in
+  let module R = Tt_server.Registry in
+  let m = Srv.metrics server in
+  let lat = M.latency m in
   Printf.printf
     "server side: %d solves, %d jobs (%d cache hits), window p50 %.4fs p99 %.4fs\n"
-    m.Tt_server.Metrics.requests_solve m.Tt_server.Metrics.jobs
-    m.Tt_server.Metrics.job_cache_hits m.Tt_server.Metrics.latency.Tt_server.Metrics.p50_s
-    m.Tt_server.Metrics.latency.Tt_server.Metrics.p99_s
+    (R.get m.M.requests ~labels:[ "solve" ]) (R.get m.M.jobs)
+    (R.get m.M.job_cache_hits) lat.M.p50_s lat.M.p99_s
 
 (* -------------------------------------------------------------- cluster *)
 
@@ -1053,15 +1055,22 @@ let cluster_section () =
             }
         in
         Cl.stop c;
-        let snap = Cl.snapshot c in
+        let module M = Tt_shard.Metrics in
+        let router = Cl.router_metrics c in
+        let peer_hits =
+          List.init (Cl.size c) (fun i ->
+              M.Registry.get (Cl.peer_metrics c i).M.peer_hits)
+          |> List.fold_left ( + ) 0
+        in
         Printf.printf
           "%d shard%s: %7.1f req/s  p50 %.4fs  p95 %.4fs  p99 %.4fs  (ok %d, \
            forwards %d, failovers %d, peer hits %d)\n"
           shards
           (if shards = 1 then " " else "s")
           s.L.throughput_rps s.L.p50_s s.L.p95_s s.L.p99_s s.L.ok
-          snap.Tt_shard.Metrics.forwards_total snap.Tt_shard.Metrics.failovers
-          snap.Tt_shard.Metrics.peer_hits;
+          (M.Registry.total router.M.forwards)
+          (M.Registry.get router.M.failovers)
+          peer_hits;
         s.L.value_digest)
       [ 1; 2; 4 ]
   in

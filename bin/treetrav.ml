@@ -552,7 +552,7 @@ let serve host port workers queue deadline timeout cache_dir max_entries
   Srv.run t;
   Option.iter Tt_engine.Telemetry.close sink;
   print_string
-    (Tt_server.Metrics.to_prometheus (Tt_server.Metrics.snapshot (Srv.metrics t)));
+    (Tt_server.Metrics.to_prometheus (Srv.metrics t));
   Printf.printf "drained cleanly\n";
   0
 
@@ -846,10 +846,11 @@ let loadgen host port connections requests seed timeout rate open_loop
     print_string (L.summary_to_string s);
     Option.iter
       (fun m ->
-        let snap = Tt_shard.Metrics.snapshot m in
+        let module M = Tt_shard.Metrics in
         Printf.printf "cluster: %d forwards, %d failovers, %d unrouted\n"
-          snap.Tt_shard.Metrics.forwards_total snap.Tt_shard.Metrics.failovers
-          snap.Tt_shard.Metrics.unrouted)
+          (M.Registry.total m.M.forwards)
+          (M.Registry.get m.M.failovers)
+          (M.Registry.get m.M.unrouted))
       shard_metrics;
     if s.L.transport_errors > 0 then 1 else 0
   end
@@ -1010,7 +1011,8 @@ let cluster shards workers vnodes port queue no_peering kill_shard
         Some
           (Domain.spawn (fun () ->
                let forwards () =
-                 (Cl.snapshot t).Tt_shard.Metrics.forwards_total
+                 Tt_shard.Metrics.Registry.total
+                   (Cl.router_metrics t).Tt_shard.Metrics.forwards
                in
                let join_pending = ref join_after in
                let leave_pending = ref leave_after in

@@ -208,17 +208,23 @@ let request_shutdown t =
 
 let freshen_source_cache t =
   let module Sc = Tt_engine.Source_cache in
-  Metrics.set_source_cache t.metrics ~hits:(Sc.hits t.sources)
-    ~misses:(Sc.misses t.sources) ~evictions:(Sc.evictions t.sources)
+  let m = t.metrics in
+  Registry.set m.Metrics.source_cache_hits (Sc.hits t.sources);
+  Registry.set m.source_cache_misses (Sc.misses t.sources);
+  Registry.set m.source_cache_evictions (Sc.evictions t.sources)
+
+let set_admission_gauges t =
+  let m = t.metrics in
+  Registry.set m.Metrics.admission_queue_depth (Admission.length t.queue);
+  Registry.set m.admission_admitted (Atomic.get t.admitted);
+  Registry.set m.admission_limit (Overload.Limiter.limit t.limiter)
 
 let stats_json t =
   freshen_source_cache t;
   let astats = Admission.stats t.queue in
   (* Freshen the admission gauges so the [metrics.overload] object a
      client reads is current, not last-reply-time. *)
-  Metrics.set_admission t.metrics ~queue_depth:(Admission.length t.queue)
-    ~admitted:(Atomic.get t.admitted)
-    ~limit:(Overload.Limiter.limit t.limiter);
+  set_admission_gauges t;
   Json.Obj
     [ ( "server",
         Json.Obj
@@ -242,7 +248,7 @@ let stats_json t =
             ("entries", Json.Int (Replay.length t.replay));
             ("evictions", Json.Int (Replay.evictions t.replay))
           ] );
-      ("metrics", Metrics.to_json (Metrics.snapshot t.metrics))
+      ("metrics", Metrics.to_json t.metrics)
     ]
 
 (* A health reply must stay cheap — it is the probe op the shard tier's
@@ -301,7 +307,7 @@ let conn_send t conn line =
           (* The reader stopped reading and let [max_write_buf] pile
              up: cut it loose rather than hold the memory. *)
           conn_kill_locked conn;
-          Metrics.write_overflow t.metrics
+          Registry.add t.metrics.write_overflows 1
         end
       end);
   (* Leftover bytes (or a fresh corpse) need the I/O domain's
@@ -311,8 +317,9 @@ let conn_send t conn line =
 let reply t conn req_id body =
   (match body with
   | P.Refused { code; _ } ->
-      Metrics.response_error t.metrics ~code:(P.error_code_to_string code)
-  | _ -> Metrics.response_ok t.metrics);
+      Registry.add t.metrics.responses_error 1
+        ~labels:[ P.error_code_to_string code ]
+  | _ -> Registry.add t.metrics.responses_ok 1);
   conn_send t conn (P.encode_response { P.req_id; body } ^ "\n")
 
 (* The single exit for admitted work: whoever wins the [replied] CAS
@@ -335,7 +342,7 @@ let reply_work ?(loss = false) t w body =
        say nothing about load, and chaos runs inject them freely. *)
     (match body with
     | P.Refused { code = P.Deadline_exceeded; _ } ->
-        Metrics.deadline_exceeded t.metrics;
+        Registry.add t.metrics.deadline_exceeded 1;
         Overload.Limiter.on_loss t.limiter
     | P.Results _ ->
         if loss then Overload.Limiter.on_loss t.limiter
@@ -351,9 +358,7 @@ let reply_work ?(loss = false) t w body =
     | _ -> ());
     reply t w.wconn (Some w.req_id) body;
     ignore (Atomic.fetch_and_add t.admitted (-1));
-    Metrics.set_admission t.metrics ~queue_depth:(Admission.length t.queue)
-      ~admitted:(Atomic.get t.admitted)
-      ~limit:(Overload.Limiter.limit t.limiter);
+    set_admission_gauges t;
     locked t (fun () -> w.wconn.inflight <- w.wconn.inflight - 1);
     wake t
   end
@@ -419,8 +424,11 @@ let process t w =
             Executor.create ~domains:1 ~cache:t.cache ~retry:t.retry
               ?telemetry:t.telemetry ?timeout:t.job_timeout ~cancel
               ~on_job:(fun ~job:_ ~result ~wall ~cache_hit ->
-                Metrics.job t.metrics ~cache_hit
-                  ~error:(Result.is_error result) ~wall_s:wall)
+                let m = t.metrics in
+                Registry.add m.jobs 1;
+                if Result.is_error result then Registry.add m.job_errors 1;
+                if cache_hit then Registry.add m.job_cache_hits 1;
+                Registry.addf m.job_wall wall)
               ()
           in
           match Executor.run_batch exec jobs with
@@ -477,7 +485,7 @@ let supervise t =
         let fresh = fresh_slot () in
         t.slots.(i) <- fresh;
         fresh.dom <- Some (Domain.spawn (fun () -> worker_body t fresh));
-        Metrics.worker_restart t.metrics
+        Registry.add t.metrics.worker_restarts 1
       end
       else
         match Atomic.get slot.current with
@@ -494,7 +502,7 @@ let supervise t =
             let fresh = fresh_slot () in
             t.slots.(i) <- fresh;
             fresh.dom <- Some (Domain.spawn (fun () -> worker_body t fresh));
-            Metrics.worker_restart t.metrics
+            Registry.add t.metrics.worker_restarts 1
         | _ -> ())
     t.slots
 
@@ -512,7 +520,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
        answered from the cache — no admission, no execution. *)
     match Option.bind idem (Replay.find t.replay) with
     | Some body ->
-        Metrics.replay_hit t.metrics;
+        Registry.add t.metrics.replay_hits 1;
         Metrics.observe_solve t.metrics
           ~latency_s:(Unix.gettimeofday () -. received);
         reply t conn (Some id) body
@@ -537,8 +545,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
                    Option.value ~default:0. t.ema_service_s))
             ~workers:t.config.workers
         in
-        Metrics.set_admission t.metrics ~queue_depth:depth
-          ~admitted:(Atomic.get t.admitted) ~limit;
+        set_admission_gauges t;
         match
           Overload.shed_decision ~limit
             ~admitted:(Atomic.get t.admitted)
@@ -546,12 +553,13 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
             ~remaining_s:(Some budget) ~priority
         with
         | Some reason -> (
-            Metrics.shed t.metrics
-              ~reason:(Overload.shed_reason_to_string reason)
-              ~priority:(P.priority_to_string priority);
+            Registry.add t.metrics.sheds 1
+              ~labels:
+                [ Overload.shed_reason_to_string reason;
+                  P.priority_to_string priority ];
             match reason with
             | Overload.Queue_wait ->
-                Metrics.deadline_exceeded t.metrics;
+                Registry.add t.metrics.deadline_exceeded 1;
                 refuse P.Deadline_exceeded
                   (Printf.sprintf
                      "queue-wait estimate %.3fs exceeds remaining budget %.3fs"
@@ -601,10 +609,10 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
               then begin
                 (* Roll back through the normal exit so the reply and
                    the decrement stay paired. *)
-                Metrics.shed t.metrics
-                  ~reason:
-                    (Overload.shed_reason_to_string Overload.Limit)
-                  ~priority:(P.priority_to_string priority);
+                Registry.add t.metrics.sheds 1
+                  ~labels:
+                    [ Overload.shed_reason_to_string Overload.Limit;
+                      P.priority_to_string priority ];
                 reply_work t w
                   (P.Refused
                      { code = P.Overloaded;
@@ -627,26 +635,26 @@ let handle_line t conn line =
     match P.decode_request line with
     | Error (id, code, msg) -> reply t conn id (P.Refused { code; msg })
     | Ok { P.id; op = P.Ping } ->
-        Metrics.request t.metrics `Ping;
+        Registry.add t.metrics.requests 1 ~labels:[ "ping" ];
         reply t conn (Some id) P.Pong
     | Ok { P.id; op = P.Peek { key } } ->
         (* Cache peering: answered inline from the local cache levels
            (memory + disk) — [Cache.find] never consults the cache's
            own peer hook, so a peek cannot cascade across the ring. *)
-        Metrics.request t.metrics `Peek;
+        Registry.add t.metrics.requests 1 ~labels:[ "peek" ];
         reply t conn (Some id) (P.Peeked (Tt_engine.Cache.find t.cache key))
     | Ok { P.id; op = P.Stats } ->
-        Metrics.request t.metrics `Stats;
+        Registry.add t.metrics.requests 1 ~labels:[ "stats" ];
         reply t conn (Some id) (P.Stats_reply (stats_json t))
     | Ok { P.id; op = P.Health } ->
-        Metrics.request t.metrics `Health;
+        Registry.add t.metrics.requests 1 ~labels:[ "health" ];
         reply t conn (Some id) (P.Health_reply (health_json t))
     | Ok { P.id; op = P.Shutdown } ->
-        Metrics.request t.metrics `Shutdown;
+        Registry.add t.metrics.requests 1 ~labels:[ "shutdown" ];
         reply t conn (Some id) P.Draining;
         request_shutdown t
     | Ok { P.id; op = P.Solve { entry; timeout_s; idem; priority } } ->
-        Metrics.request t.metrics `Solve;
+        Registry.add t.metrics.requests 1 ~labels:[ "solve" ];
         handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received
   end
 
@@ -733,7 +741,7 @@ let run t =
                   && now -. c.last_active > t.config.idle_timeout_s
                 then begin
                   c.dead <- true;
-                  Metrics.idle_eviction t.metrics
+                  Registry.add t.metrics.idle_evictions 1
                 end)
               t.conns;
           let r, l =
@@ -749,7 +757,7 @@ let run t =
     List.iter
       (fun c ->
         (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        Metrics.connection_closed t.metrics)
+        Registry.add t.metrics.connections_active (-1))
       reapable;
     let inflight_total =
       locked t (fun () -> List.fold_left (fun a c -> a + c.inflight) 0 t.conns)
@@ -813,7 +821,8 @@ let run t =
                       }
                     in
                     locked t (fun () -> t.conns <- c :: t.conns);
-                    Metrics.connection_opened t.metrics
+                    Registry.add t.metrics.connections_opened 1;
+                    Registry.add t.metrics.connections_active 1
               end
               else
                 match List.find_opt (fun c -> c.fd = fd) live with

@@ -181,8 +181,9 @@ let supervise_once t =
               | () ->
                   let downtime = Unix.gettimeofday () -. since in
                   s.down_since <- None;
-                  Metrics.restart (Router.metrics t.router) ~shard:s.name
-                    ~downtime_s:downtime;
+                  let m = Router.metrics t.router in
+                  Metrics.Registry.add m.restarts 1 ~labels:[ s.name ];
+                  Metrics.Registry.addf m.downtime (Float.max 0. downtime);
                   t.on_event (Shard_restarted (s.name, downtime))
               | exception (Unix.Unix_error _ | Failure _) -> ())
           | Some _ -> ()
@@ -290,6 +291,7 @@ let request_stop t = Router.request_shutdown t.router
 let ring t = Router.ring t.router
 let ring_epoch t = Router.epoch t.router
 let router_metrics t = Router.metrics t.router
+let router_health t = Router.health t.router
 let size t = Array.length t.shards
 
 let shard_port t i = t.shards.(i).port
@@ -368,20 +370,19 @@ let leave t i =
 
 (* ------------------------------------------------------- telemetry *)
 
-(* Router counters plus every shard's peer counters in one snapshot —
-   the cluster-wide [tt_shard_*] exposition. *)
-let snapshot t =
-  let r = Metrics.snapshot (Router.metrics t.router) in
-  let hits, misses =
-    Array.fold_left
-      (fun (h, m) s ->
-        let p = Metrics.snapshot s.peer_metrics in
-        (h + p.Metrics.peer_hits, m + p.Metrics.peer_misses))
-      (0, 0) t.shards
+(* The router's counters with every shard's peer counters summed in:
+   the cluster-wide [tt_shard_*] exposition. Built in a scratch
+   registry, so the router's own [stats] object is left as it is. *)
+let prometheus t =
+  let m = Metrics.create () in
+  Metrics.Registry.copy ~src:(Router.metrics t.router).registry m.registry;
+  let sum f =
+    Array.fold_left (fun a s -> a + Metrics.Registry.get (f s.peer_metrics)) 0
+      t.shards
   in
-  { r with Metrics.peer_hits = hits; peer_misses = misses }
-
-let prometheus t = Metrics.to_prometheus (snapshot t)
+  Metrics.Registry.set m.peer_hits (sum (fun p -> p.Metrics.peer_hits));
+  Metrics.Registry.set m.peer_misses (sum (fun p -> p.Metrics.peer_misses));
+  Metrics.Registry.to_prometheus m.registry
 
 let stop t =
   Atomic.set t.stop true;

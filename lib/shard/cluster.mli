@@ -112,8 +112,8 @@ val start_supervisor : t -> unit
     dead, non-removed shards — killed ones and gracefully self-stopped
     ones alike — and restarts each on its original port with its cache
     once it has been down [restart_delay_s]. Each restart emits
-    {!Shard_restarted} and records {!Metrics.restart} (count +
-    downtime) on the router's metrics. Restart failures (a dying
+    {!Shard_restarted} and counts the restart and its downtime in the
+    router's metrics ([restarts], [downtime]). Restart failures (a dying
     server still holding the port) are retried on the next scan. *)
 
 val join : t -> int
@@ -145,16 +145,14 @@ val heal : t -> int -> unit
 (** [set_partition t i Gate_open]. *)
 
 val router_metrics : t -> Metrics.t
+val router_health : t -> Health.t
 val peer_metrics : t -> int -> Metrics.t
 val shard_server_metrics : t -> int -> Tt_server.Metrics.t option
 
-val snapshot : t -> Metrics.snapshot
-(** Router counters, with [peer_hits]/[peer_misses] summed across
-    shards. *)
-
 val prometheus : t -> string
-(** {!Metrics.to_prometheus} of {!snapshot} — the cluster-wide
-    [tt_shard_*] exposition. *)
+(** The cluster-wide [tt_shard_*] exposition: the router's counters,
+    with [peer_hits]/[peer_misses] summed across shards' peer
+    counters ({!peer_metrics}). *)
 
 val stop : t -> unit
 (** Watchdog, supervisor, router, then every live shard — graceful

@@ -331,16 +331,19 @@ let hedged_attempt t hs ~key (node : Ring.node) (successor : Ring.node option)
         | `Winner (leg, body, losers) ->
             drop_legs t losers;
             Option.iter
-              (fun o -> Metrics.hedge t.metrics ~outcome:o)
+              (fun o ->
+                Metrics.Registry.add t.metrics.hedges 1 ~labels:[ o ])
               (outcome_of leg);
             leg_verdict t leg body
         | `Timed_out legs ->
             drop_legs ~failed:true t legs;
-            if fired then Metrics.hedge t.metrics ~outcome:"failed";
+            if fired then
+              Metrics.Registry.add t.metrics.hedges 1 ~labels:[ "failed" ];
             Move_on
               (Printf.sprintf "%s: no reply within budget" node.Ring.name, None)
         | `All_failed ->
-            if fired then Metrics.hedge t.metrics ~outcome:"failed";
+            if fired then
+              Metrics.Registry.add t.metrics.hedges 1 ~labels:[ "failed" ];
             Move_on (node.Ring.name ^ ": every hedge leg failed", None)
       in
       match plan with
@@ -380,7 +383,7 @@ let call t ~key ?deadline op =
     match remaining () with Some r -> r <= 0. | None -> false
   in
   let deadline_error () =
-    Metrics.deadline_reject t.metrics;
+    Metrics.Registry.add t.metrics.deadline_rejects 1;
     Error (P.Deadline_exceeded, "deadline budget exhausted during forward")
   in
   (* Deadline propagation: the wire carries {e relative} budget, so
@@ -411,7 +414,7 @@ let call t ~key ?deadline op =
           end
           else if expired () then `Budget_gone
           else begin
-            if not first then Metrics.failover t.metrics;
+            if not first then Metrics.Registry.add t.metrics.failovers 1;
             let verdict =
               match (first, hedgeable, t.hedge) with
               | true, true, Some hs ->
@@ -437,7 +440,7 @@ let call t ~key ?deadline op =
     (verdict, !skips, List.length order, !last_code)
   in
   let exhausted_error skips tried last_code =
-    Metrics.unrouted t.metrics;
+    Metrics.Registry.add t.metrics.unrouted 1;
     (* Relay a cluster-wide [Overloaded] as-is — it is retryable and
        tells the client {e why} (shed, not dead). [Unavailable] when a
        breaker spared us any attempt this sweep: the backends are

@@ -1,9 +1,13 @@
 module Retry = Tt_engine.Retry
 
-type state = Metrics.breaker_state =
-  | Breaker_closed
-  | Breaker_open
-  | Breaker_half_open
+type state = Breaker_closed | Breaker_open | Breaker_half_open
+
+(* The [tt_shard_breaker_state] gauge value and the [state] of
+   {!to_json}. *)
+let state_code = function
+  | Breaker_closed -> 0
+  | Breaker_open -> 1
+  | Breaker_half_open -> 2
 
 type breaker = {
   mutable st : state;
@@ -68,6 +72,13 @@ let breaker t shard =
       Hashtbl.replace t.breakers shard b;
       b
 
+(* Call with the lock held: the one place a breaker changes state, and
+   with it the [breaker_state] gauge. *)
+let enter t shard b st =
+  b.st <- st;
+  Metrics.Registry.set t.metrics.Metrics.breaker_state ~labels:[ shard ]
+    (state_code st)
+
 (* Call with the lock held. *)
 let open_locked t shard b =
   let delay =
@@ -81,11 +92,11 @@ let open_locked t shard b =
         if b.last_delay > 0. then b.last_delay
         else Float.max 0.001 t.retry.Retry.max_delay_s
   in
-  b.st <- Breaker_open;
+  enter t shard b Breaker_open;
   b.open_until <- t.now () +. delay;
   b.trial_taken <- false;
   b.opens <- b.opens + 1;
-  Metrics.breaker_transition t.metrics ~shard Breaker_open
+  Metrics.Registry.add t.metrics.breaker_opens 1
 
 let allow t shard =
   locked t (fun () ->
@@ -104,9 +115,8 @@ let allow t shard =
       | Breaker_open ->
           if t.now () < b.open_until then false
           else begin
-            b.st <- Breaker_half_open;
+            enter t shard b Breaker_half_open;
             b.trial_taken <- true;
-            Metrics.breaker_transition t.metrics ~shard Breaker_half_open;
             true
           end)
 
@@ -118,12 +128,12 @@ let success t shard =
       match b.st with
       | Breaker_closed -> ()
       | Breaker_open | Breaker_half_open ->
-          b.st <- Breaker_closed;
+          enter t shard b Breaker_closed;
           (* A recovered shard earns a fresh backoff schedule. *)
           b.next_delays <- [];
           b.last_delay <- 0.;
           b.closes <- b.closes + 1;
-          Metrics.breaker_transition t.metrics ~shard Breaker_closed)
+          Metrics.Registry.add t.metrics.breaker_closes 1)
 
 let failure t shard =
   locked t (fun () ->
@@ -147,7 +157,7 @@ let state t shard = locked t (fun () -> (breaker t shard).st)
 let forget t shard =
   locked t (fun () ->
       Hashtbl.remove t.breakers shard;
-      Metrics.breaker_forget t.metrics ~shard)
+      Metrics.Registry.remove t.metrics.breaker_state [ shard ])
 
 type view = {
   shard : string;
@@ -178,7 +188,7 @@ let to_json t =
        (fun v ->
          ( v.shard,
            Json.Obj
-             [ ("state", Json.Int (Metrics.breaker_state_to_int v.view_state));
+             [ ("state", Json.Int (state_code v.view_state));
                ("failures", Json.Int v.failures);
                ("opens", Json.Int v.opens);
                ("closes", Json.Int v.closes)

@@ -24,13 +24,13 @@
     others the timeout. Successes and failures are reported by the
     failover sweep itself on real traffic, plus by the router's
     background prober so an {e idle} cluster still detects death and
-    recovery. Transitions land in {!Metrics} as
-    [tt_shard_breaker_state] / opens / closes. *)
+    recovery. Each transition updates the [metrics] it was created
+    with: [tt_shard_breaker_opens_total], [tt_shard_breaker_closes_total]
+    and the [tt_shard_breaker_state{shard}] gauge. *)
 
-type state = Metrics.breaker_state =
-  | Breaker_closed
-  | Breaker_open
-  | Breaker_half_open
+type state = Breaker_closed | Breaker_open | Breaker_half_open
+(** Values 0 / 1 / 2 of the [tt_shard_breaker_state] gauge and of
+    {!to_json}'s ["state"]. *)
 
 type t
 
@@ -72,7 +72,8 @@ val failure : t -> string -> unit
 val state : t -> string -> state
 
 val forget : t -> string -> unit
-(** Drop all breaker state for a shard that left the ring. *)
+(** Drop all breaker state for a shard that left the ring, its
+    [tt_shard_breaker_state] series included. *)
 
 type view = {
   shard : string;

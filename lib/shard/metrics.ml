@@ -1,230 +1,80 @@
 module Json = Tt_engine.Telemetry.Json
-
-type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
-
-let breaker_state_to_int = function
-  | Breaker_closed -> 0
-  | Breaker_open -> 1
-  | Breaker_half_open -> 2
+module Registry = Tt_server.Registry
+module R = Registry
 
 type t = {
-  mu : Mutex.t;
-  forwards : (string, int) Hashtbl.t;  (* shard name -> forwarded ops *)
-  mutable failovers : int;
-  mutable rejects : int;
-  mutable unrouted : int;
-  mutable peer_hits : int;
-  mutable peer_misses : int;
-  mutable breaker_opens : int;
-  mutable breaker_closes : int;
-  breaker_states : (string, breaker_state) Hashtbl.t;
-  restarts : (string, int) Hashtbl.t;  (* shard name -> supervised restarts *)
-  hedges : (string, int) Hashtbl.t;  (* outcome -> count *)
-  mutable deadline_rejects : int;
-  mutable downtime_s : float;
-  mutable ring_epoch : int;
-  mutable forwards_seen : int;
-  mutable on_forward : int -> unit;  (* called outside [mu] *)
+  registry : R.t;
+  forwards : R.family;
+  failovers : R.family;
+  rejects : R.family;
+  unrouted : R.family;
+  peer_hits : R.family;
+  peer_misses : R.family;
+  breaker_opens : R.family;
+  breaker_closes : R.family;
+  breaker_state : R.family;
+  restarts : R.family;
+  hedges : R.family;
+  deadline_rejects : R.family;
+  downtime : R.family;
+  ring_epoch : R.family;
+  forwards_seen : int Atomic.t;
+  on_forward : (int -> unit) Atomic.t;
 }
 
 let create () =
-  { mu = Mutex.create ();
-    forwards = Hashtbl.create 8;
-    failovers = 0;
-    rejects = 0;
-    unrouted = 0;
-    peer_hits = 0;
-    peer_misses = 0;
-    breaker_opens = 0;
-    breaker_closes = 0;
-    breaker_states = Hashtbl.create 8;
-    restarts = Hashtbl.create 8;
-    hedges = Hashtbl.create 4;
-    deadline_rejects = 0;
-    downtime_s = 0.;
-    ring_epoch = 0;
-    forwards_seen = 0;
-    on_forward = ignore
+  let r = R.create ~prefix:"tt_shard_" in
+  let counter = R.counter r in
+  let shard = [ "shard" ] in
+  (* Bound in exposition order: record fields evaluate in no set order. *)
+  let forwards = counter ~labels:shard "forwards_total" in
+  let failovers = counter "failovers_total" in
+  let rejects = counter "rejects_total" in
+  let unrouted = counter "unrouted_total" in
+  let peer_hits = counter "peer_hits_total" in
+  let peer_misses = counter "peer_misses_total" in
+  let breaker_opens = counter "breaker_opens_total" in
+  let breaker_closes = counter "breaker_closes_total" in
+  let breaker_state = R.gauge r ~labels:shard "breaker_state" in
+  let restarts = counter ~labels:shard "restarts_total" in
+  let hedges = counter ~labels:[ "outcome" ] "hedges_total" in
+  let deadline_rejects = counter "deadline_exceeded_total" in
+  let downtime = counter "downtime_seconds_total" in
+  let ring_epoch = R.gauge r "ring_epoch" in
+  { registry = r; forwards; failovers; rejects; unrouted; peer_hits;
+    peer_misses; breaker_opens; breaker_closes; breaker_state; restarts;
+    hedges; deadline_rejects; downtime; ring_epoch;
+    forwards_seen = Atomic.make 0;
+    on_forward = Atomic.make ignore
   }
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
 let forward t ~shard =
-  let total, hook =
-    locked t (fun () ->
-        Hashtbl.replace t.forwards shard
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.forwards shard));
-        t.forwards_seen <- t.forwards_seen + 1;
-        (t.forwards_seen, t.on_forward))
+  R.add t.forwards 1 ~labels:[ shard ];
+  (Atomic.get t.on_forward) (1 + Atomic.fetch_and_add t.forwards_seen 1)
+
+let set_on_forward t f = Atomic.set t.on_forward f
+
+let to_json t =
+  let int f = Json.Int (R.get f) in
+  let by_label f =
+    Json.Obj (List.map (fun (k, v) -> (List.hd k, Json.Int v)) (R.series f))
   in
-  hook total
-
-let set_on_forward t f = locked t (fun () -> t.on_forward <- f)
-
-let failover t = locked t (fun () -> t.failovers <- t.failovers + 1)
-let reject t = locked t (fun () -> t.rejects <- t.rejects + 1)
-let unrouted t = locked t (fun () -> t.unrouted <- t.unrouted + 1)
-let peer_hit t = locked t (fun () -> t.peer_hits <- t.peer_hits + 1)
-let peer_miss t = locked t (fun () -> t.peer_misses <- t.peer_misses + 1)
-
-let breaker_transition t ~shard state =
-  locked t (fun () ->
-      (match (Hashtbl.find_opt t.breaker_states shard, state) with
-      | (Some Breaker_closed | Some Breaker_half_open | None), Breaker_open ->
-          t.breaker_opens <- t.breaker_opens + 1
-      | (Some Breaker_open | Some Breaker_half_open), Breaker_closed ->
-          t.breaker_closes <- t.breaker_closes + 1
-      | _ -> ());
-      Hashtbl.replace t.breaker_states shard state)
-
-let breaker_forget t ~shard =
-  locked t (fun () -> Hashtbl.remove t.breaker_states shard)
-
-let restart t ~shard ~downtime_s =
-  locked t (fun () ->
-      Hashtbl.replace t.restarts shard
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.restarts shard));
-      t.downtime_s <- t.downtime_s +. Float.max 0. downtime_s)
-
-let hedge t ~outcome =
-  locked t (fun () ->
-      Hashtbl.replace t.hedges outcome
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.hedges outcome)))
-
-let deadline_reject t =
-  locked t (fun () -> t.deadline_rejects <- t.deadline_rejects + 1)
-
-let set_ring_epoch t epoch = locked t (fun () -> t.ring_epoch <- epoch)
-
-type snapshot = {
-  forwards : (string * int) list;
-  forwards_total : int;
-  failovers : int;
-  rejects : int;
-  unrouted : int;
-  peer_hits : int;
-  peer_misses : int;
-  breaker_opens : int;
-  breaker_closes : int;
-  breaker_states : (string * breaker_state) list;
-  restarts : (string * int) list;
-  restarts_total : int;
-  hedges : (string * int) list;
-  deadline_rejects : int;
-  downtime_s : float;
-  ring_epoch : int;
-}
-
-let snapshot t =
-  locked t (fun () ->
-      let sorted tbl =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-      in
-      let forwards = sorted t.forwards in
-      let restarts = sorted t.restarts in
-      { forwards;
-        forwards_total = List.fold_left (fun a (_, v) -> a + v) 0 forwards;
-        failovers = t.failovers;
-        rejects = t.rejects;
-        unrouted = t.unrouted;
-        peer_hits = t.peer_hits;
-        peer_misses = t.peer_misses;
-        breaker_opens = t.breaker_opens;
-        breaker_closes = t.breaker_closes;
-        breaker_states = sorted t.breaker_states;
-        restarts;
-        restarts_total = List.fold_left (fun a (_, v) -> a + v) 0 restarts;
-        hedges = sorted t.hedges;
-        deadline_rejects = t.deadline_rejects;
-        downtime_s = t.downtime_s;
-        ring_epoch = t.ring_epoch
-      })
-
-let to_json s =
+  let total f = Json.Int (R.total f) in
   Json.Obj
-    [ ( "forwards",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.forwards) );
-      ("forwards_total", Json.Int s.forwards_total);
-      ("failovers", Json.Int s.failovers);
-      ("rejects", Json.Int s.rejects);
-      ("unrouted", Json.Int s.unrouted);
-      ("peer_hits", Json.Int s.peer_hits);
-      ("peer_misses", Json.Int s.peer_misses);
-      ("breaker_opens", Json.Int s.breaker_opens);
-      ("breaker_closes", Json.Int s.breaker_closes);
-      ( "breaker_states",
-        Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Json.Int (breaker_state_to_int v)))
-             s.breaker_states) );
-      ( "restarts",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.restarts) );
-      ("restarts_total", Json.Int s.restarts_total);
-      ( "hedges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.hedges) );
-      ("deadline_rejects", Json.Int s.deadline_rejects);
-      ("downtime_s", Json.Float s.downtime_s);
-      ("ring_epoch", Json.Int s.ring_epoch)
+    [ ("forwards", by_label t.forwards);
+      ("forwards_total", total t.forwards);
+      ("failovers", int t.failovers);
+      ("rejects", int t.rejects);
+      ("unrouted", int t.unrouted);
+      ("peer_hits", int t.peer_hits);
+      ("peer_misses", int t.peer_misses);
+      ("breaker_opens", int t.breaker_opens);
+      ("breaker_closes", int t.breaker_closes);
+      ("breaker_states", by_label t.breaker_state);
+      ("restarts", by_label t.restarts);
+      ("restarts_total", total t.restarts);
+      ("hedges", by_label t.hedges);
+      ("deadline_rejects", int t.deadline_rejects);
+      ("downtime_s", Json.Float (R.getf t.downtime));
+      ("ring_epoch", int t.ring_epoch)
     ]
-
-(* Same exposition conventions as {!Tt_server.Metrics.to_prometheus}:
-   one [# TYPE] line per family, [%d] counters, quoted label values. *)
-let to_prometheus s =
-  let b = Buffer.create 512 in
-  let counter name ?(labels = "") v =
-    Buffer.add_string b (Printf.sprintf "tt_shard_%s%s %d\n" name labels v)
-  in
-  let typ name kind =
-    Buffer.add_string b (Printf.sprintf "# TYPE tt_shard_%s %s\n" name kind)
-  in
-  typ "forwards_total" "counter";
-  List.iter
-    (fun (shard, v) ->
-      counter "forwards_total" ~labels:(Printf.sprintf {|{shard=%S}|} shard) v)
-    s.forwards;
-  typ "failovers_total" "counter";
-  counter "failovers_total" s.failovers;
-  typ "rejects_total" "counter";
-  counter "rejects_total" s.rejects;
-  typ "unrouted_total" "counter";
-  counter "unrouted_total" s.unrouted;
-  typ "peer_hits_total" "counter";
-  counter "peer_hits_total" s.peer_hits;
-  typ "peer_misses_total" "counter";
-  counter "peer_misses_total" s.peer_misses;
-  typ "breaker_opens_total" "counter";
-  counter "breaker_opens_total" s.breaker_opens;
-  typ "breaker_closes_total" "counter";
-  counter "breaker_closes_total" s.breaker_closes;
-  if s.breaker_states <> [] then begin
-    typ "breaker_state" "gauge";
-    List.iter
-      (fun (shard, st) ->
-        counter "breaker_state"
-          ~labels:(Printf.sprintf {|{shard=%S}|} shard)
-          (breaker_state_to_int st))
-      s.breaker_states
-  end;
-  typ "restarts_total" "counter";
-  List.iter
-    (fun (shard, v) ->
-      counter "restarts_total" ~labels:(Printf.sprintf {|{shard=%S}|} shard) v)
-    s.restarts;
-  typ "hedges_total" "counter";
-  List.iter
-    (fun (outcome, v) ->
-      counter "hedges_total"
-        ~labels:(Printf.sprintf {|{outcome=%S}|} outcome)
-        v)
-    s.hedges;
-  typ "deadline_exceeded_total" "counter";
-  counter "deadline_exceeded_total" s.deadline_rejects;
-  typ "downtime_seconds_total" "counter";
-  Buffer.add_string b
-    (Printf.sprintf "tt_shard_downtime_seconds_total %.9g\n"
-       (if Float.is_finite s.downtime_s then s.downtime_s else 0.));
-  typ "ring_epoch" "gauge";
-  counter "ring_epoch" s.ring_epoch;
-  Buffer.contents b

@@ -1,103 +1,67 @@
 (** Shard-tier counters — one instance per router (forward/failover
     side) or per shard (peer side); a {!Cluster} holds both kinds.
 
-    All operations are thread-safe; {!snapshot} is consistent (taken
-    under the same lock the counters use). *)
+    The families of one {!Tt_server.Registry}, prefixed [tt_shard_];
+    call sites update the handles below directly. Breaker families are
+    updated by {!Health} at its state transitions. *)
 
-type t
+module Registry = Tt_server.Registry
 
-type breaker_state = Breaker_closed | Breaker_open | Breaker_half_open
-(** Exposition values 0 / 1 / 2 of the [tt_shard_breaker_state]
-    gauge. *)
-
-val breaker_state_to_int : breaker_state -> int
+type t = {
+  registry : Registry.t;
+  forwards : Registry.family;
+      (** [forwards_total{shard}]: an op handed to a shard, counted per
+          attempt (a solve that fails over counts once per shard
+          tried). Bump it through {!forward}. *)
+  failovers : Registry.family;
+      (** [failovers_total]: the preferred shard failed and the sweep
+          moved to a successor. *)
+  rejects : Registry.family;
+      (** [rejects_total]: the router refused a request itself (bad
+          frame, unparseable entry) without contacting any shard. *)
+  unrouted : Registry.family;
+      (** [unrouted_total]: a full failover sweep (all shards, all
+          backoff rounds) failed; the client got a retryable
+          [internal] refusal. *)
+  peer_hits : Registry.family;  (** [peer_hits_total] *)
+  peer_misses : Registry.family;
+      (** [peer_misses_total]: outcome of one cross-shard cache peek
+          made by this shard's {!Peer} fetch hook ({e outgoing} peeks;
+          the receiving side counts the same event under its server
+          metrics' [op="peek"]). *)
+  breaker_opens : Registry.family;  (** [breaker_opens_total] *)
+  breaker_closes : Registry.family;  (** [breaker_closes_total] *)
+  breaker_state : Registry.family;
+      (** [breaker_state{shard}] gauge: 0 closed, 1 open, 2 half-open. *)
+  restarts : Registry.family;
+      (** [restarts_total{shard}]: one supervised restart. *)
+  hedges : Registry.family;
+      (** [hedges_total{outcome}]: one hedged attempt resolved — ["won"]
+          (the hedge's reply was used), ["lost"] (the primary answered
+          first after the hedge fired), or ["failed"] (both legs failed
+          and the sweep moved on). *)
+  deadline_rejects : Registry.family;
+      (** [deadline_exceeded_total]: a request refused with
+          [deadline_exceeded] by this tier — its budget ran out before
+          (or while) forwarding. *)
+  downtime : Registry.family;
+      (** [downtime_seconds_total] (float): time between a shard's
+          death detection and its supervised restart. *)
+  ring_epoch : Registry.family;
+      (** [ring_epoch] gauge: bumped by every join/leave. *)
+  forwards_seen : int Atomic.t;  (** Running total, for {!forward}. *)
+  on_forward : (int -> unit) Atomic.t;  (** See {!set_on_forward}. *)
+}
 
 val create : unit -> t
 
 val forward : t -> shard:string -> unit
-(** An op was handed to [shard] (counted per attempt: a solve that
-    fails over counts once per shard tried). Then calls the
-    {!set_on_forward} hook with the new total, before the op is sent. *)
+(** Count one forward to [shard], then call the {!set_on_forward} hook
+    with the running forward total, before the op is sent. *)
 
 val set_on_forward : t -> (int -> unit) -> unit
-(** Install the hook {!forward} calls, in the forwarding domain and
-    outside the counters' lock, with the running forward total
-    (default: none). *)
+(** Install the hook {!forward} calls, in the forwarding domain, with
+    the running forward total (default: none). *)
 
-val failover : t -> unit
-(** The preferred shard failed and the sweep moved to a successor. *)
-
-val reject : t -> unit
-(** The router refused a request itself (bad frame, unparseable
-    entry) without contacting any shard. *)
-
-val unrouted : t -> unit
-(** A full failover sweep (all shards, all backoff rounds) failed;
-    the client got a retryable [internal] refusal. *)
-
-val peer_hit : t -> unit
-val peer_miss : t -> unit
-(** Outcome of one cross-shard cache peek made by this shard's
-    {!Peer} fetch hook ({e outgoing} peeks; the receiving side counts
-    the same event under its server metrics' [op="peek"]). *)
-
-val breaker_transition : t -> shard:string -> breaker_state -> unit
-(** Record [shard]'s breaker entering a state: updates the per-shard
-    state gauge and counts any non-open→open transition (including a
-    failed half-open trial re-opening) as an open, any non-closed→
-    closed as a close. Idempotent for repeated same-state calls. *)
-
-val breaker_forget : t -> shard:string -> unit
-(** Drop [shard]'s breaker-state gauge (the shard left the ring). *)
-
-val restart : t -> shard:string -> downtime_s:float -> unit
-(** One supervised restart of [shard], down for [downtime_s] (clamped
-    to ≥ 0) between death detection and the restart. *)
-
-val hedge : t -> outcome:string -> unit
-(** One hedged attempt resolved with [outcome] — ["won"] (the hedge's
-    reply was used), ["lost"] (the primary answered first after the
-    hedge fired), or ["failed"] (both legs failed and the sweep moved
-    on). *)
-
-val deadline_reject : t -> unit
-(** A request was refused with [deadline_exceeded] by this tier — its
-    budget ran out before (or while) forwarding, so no further shard
-    work was attempted. *)
-
-val set_ring_epoch : t -> int -> unit
-(** Current ring epoch (bumped by every join/leave reconfiguration). *)
-
-type snapshot = {
-  forwards : (string * int) list;  (** per shard name, sorted *)
-  forwards_total : int;
-  failovers : int;
-  rejects : int;
-  unrouted : int;
-  peer_hits : int;
-  peer_misses : int;
-  breaker_opens : int;
-  breaker_closes : int;
-  breaker_states : (string * breaker_state) list;  (** sorted by shard *)
-  restarts : (string * int) list;  (** per shard name, sorted *)
-  restarts_total : int;
-  hedges : (string * int) list;  (** per outcome, sorted *)
-  deadline_rejects : int;
-  downtime_s : float;
-  ring_epoch : int;
-}
-
-val snapshot : t -> snapshot
-val to_json : snapshot -> Tt_engine.Telemetry.Json.t
-
-val to_prometheus : snapshot -> string
-(** Text exposition, families prefixed [tt_shard_]:
-    [tt_shard_forwards_total{shard="…"}], [tt_shard_failovers_total],
-    [tt_shard_rejects_total], [tt_shard_unrouted_total],
-    [tt_shard_peer_hits_total], [tt_shard_peer_misses_total],
-    [tt_shard_breaker_opens_total], [tt_shard_breaker_closes_total],
-    [tt_shard_breaker_state{shard="…"}] (gauge 0/1/2),
-    [tt_shard_restarts_total{shard="…"}],
-    [tt_shard_hedges_total{outcome="…"}],
-    [tt_shard_deadline_exceeded_total],
-    [tt_shard_downtime_seconds_total], [tt_shard_ring_epoch]. *)
+val to_json : t -> Tt_engine.Telemetry.Json.t
+(** The router [stats] reply's ["shard"] object. *)

@@ -180,27 +180,24 @@ let retry_policy seed =
     seed
   }
 
-(* Per-entry reference digests from a pristine 1-shard cluster: the
-   oracle both for the final convergence check and for calling out any
-   individual reply the chaotic run got wrong. *)
 let reference_digests ~workers entries =
   let t = Cluster.start ~shards:1 ~workers ~peering:false () in
   Fun.protect
     ~finally:(fun () -> Cluster.stop t)
     (fun () ->
       Client.with_connection ~port:(Cluster.router_port t) (fun c ->
-          let tbl = Hashtbl.create 16 in
+          let tbl = Hashtbl.create 64 in
           let all =
-            Array.to_list entries
-            |> List.concat_map (fun entry ->
-                   match Client.solve c ~idem:("ref-" ^ entry) entry with
-                   | Ok reports ->
-                       Hashtbl.replace tbl entry (P.value_digest reports);
-                       reports
-                   | Error e ->
-                       failwith
-                         (Printf.sprintf "nemesis reference solve %S: %s"
-                            entry e))
+            List.concat_map
+              (fun entry ->
+                match Client.solve c ~idem:("ref-" ^ entry) entry with
+                | Ok reports ->
+                    Hashtbl.replace tbl entry (P.value_digest reports);
+                    reports
+                | Error e ->
+                    failwith
+                      (Printf.sprintf "reference solve %S: %s" entry e))
+              entries
           in
           (tbl, P.value_digest all)))
 
@@ -230,7 +227,6 @@ let apply_fault t = function
   | Leave i -> Cluster.leave t i
 
 let all_recovered t =
-  let snap = Cluster.snapshot t in
   let shards_up =
     List.for_all
       (fun i -> (not (Cluster.shard_in_ring t i)) || Cluster.shard_alive t i)
@@ -238,8 +234,8 @@ let all_recovered t =
   in
   let breakers_closed =
     List.for_all
-      (fun (_, st) -> st = Metrics.Breaker_closed)
-      snap.Metrics.breaker_states
+      (fun v -> v.Health.view_state = Health.Breaker_closed)
+      (Health.views (Cluster.router_health t))
   in
   shards_up && breakers_closed
 
@@ -260,7 +256,7 @@ let run cfg =
   if cfg.requests < 1 then invalid_arg "Nemesis.run: requests < 1";
   let entries = Loadgen.default_entries in
   let clean_tbl, clean_digest =
-    reference_digests ~workers:cfg.workers entries
+    reference_digests ~workers:cfg.workers (Array.to_list entries)
   in
   let events = ref [] in
   let events_mu = Mutex.create () in
@@ -354,7 +350,7 @@ let run cfg =
       let final_digest =
         sweep_digest ~port ~seed:cfg.seed entries
       in
-      let snap = Cluster.snapshot t in
+      let m = Cluster.router_metrics t in
       let timeline =
         Hashtbl.fold (fun s (o, e) acc -> (s, o, e) :: acc) buckets []
         |> List.sort compare
@@ -367,10 +363,10 @@ let run cfg =
         final_digest;
         digest_match = final_digest = clean_digest;
         lost_admitted = Atomic.get lost;
-        restarts = snap.Metrics.restarts_total;
-        breaker_opens = snap.Metrics.breaker_opens;
-        breaker_closes = snap.Metrics.breaker_closes;
-        ring_epoch = snap.Metrics.ring_epoch;
+        restarts = Metrics.Registry.total m.restarts;
+        breaker_opens = Metrics.Registry.get m.breaker_opens;
+        breaker_closes = Metrics.Registry.get m.breaker_closes;
+        ring_epoch = Metrics.Registry.get m.ring_epoch;
         recovered
       })
 

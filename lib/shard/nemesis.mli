@@ -93,6 +93,13 @@ type report = {
   recovered : bool;
 }
 
+val reference_digests :
+  workers:int -> string list -> (string, string) Hashtbl.t * string
+(** The oracle of both nemesis runners: solve every entry on a pristine
+    1-shard cluster, returning each entry's value digest and the value
+    digest of all replies in order.
+    @raise Failure when an entry does not solve. *)
+
 val run : config -> report
 (** Build the reference digests on a pristine single-shard cluster,
     then boot a [~proxied ~supervise] cluster, drive {!plan} against

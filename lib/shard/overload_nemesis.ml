@@ -149,32 +149,6 @@ let solver cfg o ~port ~deadline ~read_timeout_s ~tag ~conn =
     sv_close = (fun () -> Client.close_session s)
   }
 
-(* Per-entry reference digests from a pristine 1-shard cluster — the
-   oracle for the "completed subset matches the clean run" check and
-   for the run-invariant full-set digest the gate diffs. *)
-let reference_digests ~workers entries =
-  let t = Cluster.start ~shards:1 ~workers ~peering:false () in
-  Fun.protect
-    ~finally:(fun () -> Cluster.stop t)
-    (fun () ->
-      Client.with_connection ~port:(Cluster.router_port t)
-        ~read_timeout_s:30. (fun c ->
-          let tbl = Hashtbl.create 64 in
-          let all =
-            List.concat_map
-              (fun entry ->
-                match Client.solve c ~idem:("oref-" ^ entry) entry with
-                | Ok reports ->
-                    Hashtbl.replace tbl entry (P.value_digest reports);
-                    reports
-                | Error e ->
-                    failwith
-                      (Printf.sprintf "overload reference solve %S: %s" entry
-                         e))
-              entries
-          in
-          (tbl, P.value_digest all)))
-
 (* ------------------------------------------------------------- report *)
 
 type class_report = { cr_issued : int; cr_ok : int; cr_shed : int }
@@ -298,7 +272,14 @@ let run cfg =
             }
         in
         Cluster.heal t cfg.stall_shard;
-        let snap = Cluster.snapshot t in
+        let m = Cluster.router_metrics t in
+        let hedge outcome =
+          Metrics.Registry.get m.Metrics.hedges ~labels:[ outcome ]
+        in
+        let hedge_won = hedge "won"
+        and hedge_lost = hedge "lost"
+        and hedge_failed = hedge "failed"
+        and router_deadline_rejects = Metrics.Registry.get m.deadline_rejects in
         (* Phase 3 — oracle: re-solve every issued entry on a pristine
            1-shard cluster; any ok reply from the overloaded run that
            disagrees is a contradiction, and the full-set digest is the
@@ -308,7 +289,7 @@ let run cfg =
             (Hashtbl.fold (fun e () acc -> e :: acc) o.o_entries [])
         in
         let ref_tbl, reference_digest =
-          reference_digests ~workers:cfg.workers entries
+          Nemesis.reference_digests ~workers:cfg.workers entries
         in
         let contradicted =
           Hashtbl.fold
@@ -317,9 +298,6 @@ let run cfg =
               | Some reference when dg <> reference -> acc + 1
               | _ -> acc)
             o.o_digests 0
-        in
-        let hedge outcome =
-          Option.value ~default:0 (List.assoc_opt outcome snap.Metrics.hedges)
         in
         { config = cfg;
           measured_rps;
@@ -334,10 +312,10 @@ let run cfg =
             { cr_issued = o.issued_i; cr_ok = o.ok_i; cr_shed = o.shed_i };
           batch = { cr_issued = o.issued_b; cr_ok = o.ok_b; cr_shed = o.shed_b };
           contradicted;
-          hedge_won = hedge "won";
-          hedge_lost = hedge "lost";
-          hedge_failed = hedge "failed";
-          router_deadline_rejects = snap.Metrics.deadline_rejects;
+          hedge_won;
+          hedge_lost;
+          hedge_failed;
+          router_deadline_rejects;
           reference_digest;
           load;
           wall_s = 0.

@@ -60,13 +60,13 @@ let fetch ~self ~ring ?(warm_from_successor = false)
         match peek_node node ~connect_timeout_s ~read_timeout_s key with
         | `Hit r ->
             Option.iter (fun h -> Health.success h node.Ring.name) health;
-            Metrics.peer_hit metrics;
+            Metrics.Registry.add metrics.Metrics.peer_hits 1;
             Some r
         | `Miss ->
             Option.iter (fun h -> Health.success h node.Ring.name) health;
-            Metrics.peer_miss metrics;
+            Metrics.Registry.add metrics.Metrics.peer_misses 1;
             None
         | `Unreachable ->
             Option.iter (fun h -> Health.failure h node.Ring.name) health;
-            Metrics.peer_miss metrics;
+            Metrics.Registry.add metrics.Metrics.peer_misses 1;
             None)

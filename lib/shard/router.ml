@@ -125,7 +125,7 @@ let reconfigure t ring' =
         let after = List.map (fun n -> n.Ring.name) (Ring.nodes ring') in
         t.ring <- ring';
         t.epoch <- t.epoch + 1;
-        Metrics.set_ring_epoch t.metrics t.epoch;
+        Metrics.Registry.set t.metrics.ring_epoch t.epoch;
         List.filter (fun n -> not (List.mem n after)) before)
   in
   (* A departed shard must not keep a breaker-state gauge (or worse, a
@@ -183,7 +183,7 @@ let stats_json t =
             ("ring_epoch", Json.Int e);
             ("breakers", Health.to_json t.health)
           ] );
-      ("shard", Metrics.to_json (Metrics.snapshot t.metrics))
+      ("shard", Metrics.to_json t.metrics)
     ]
 
 (* ------------------------------------------------------------- probing *)
@@ -249,7 +249,7 @@ let reply fd req_id body =
 let handle_line t fwd fd line =
   match P.decode_request line with
   | Error (req_id, code, msg) ->
-      Metrics.reject t.metrics;
+      Metrics.Registry.add t.metrics.rejects 1;
       reply fd req_id (P.Refused { code; msg })
   | Ok { P.id; op } -> (
       let req_id = Some id in
@@ -276,7 +276,7 @@ let handle_line t fwd fd line =
           in
           match timeout_s with
           | Some b when b <= 0. ->
-              Metrics.deadline_reject t.metrics;
+              Metrics.Registry.add t.metrics.deadline_rejects 1;
               reply fd req_id
                 (P.Refused
                    { code = P.Deadline_exceeded;
@@ -285,7 +285,7 @@ let handle_line t fwd fd line =
           | _ -> (
               match Tt_engine.Manifest.route_key ~sources:t.sources entry with
               | Error msg ->
-                  Metrics.reject t.metrics;
+                  Metrics.Registry.add t.metrics.rejects 1;
                   reply fd req_id (P.Refused { code = P.Bad_request; msg })
               | Ok key -> (
                   (* Guarantee an idempotency key before forwarding: it

@@ -113,8 +113,9 @@ let corpus_instances mode =
 
 (* --- huge family --------------------------------------------------------
    Streamed instances at p = 1M (both modes) and 10M (full mode),
-   generated by the streaming [Huge] generators and measured once each
-   ([max_reps = 1] — a 10M kernel run is tens of seconds). Instances are
+   generated by the streaming [Huge] generators. A 1M row is timed three
+   times ([max_reps = 3]: its median is not a single sample); a 10M row
+   once ([max_reps = 1] — a 10M kernel run is tens of seconds). Instances are
    rebuilt inside each run rather than shared: rebuilding is O(p) and
    near-free next to the kernels, and it keeps at most one ~400 MB
    instance live at a time instead of retaining all of them across the
@@ -151,7 +152,7 @@ let huge_family mode =
               Tt_profile.Microbench.kernel = "huge/" ^ kernel;
               instance = name;
               p;
-              max_reps = 1;
+              max_reps = (if p > 1_000_000 then 1 else 3);
               run;
             }
           in

@@ -74,9 +74,10 @@ let test_breaker_state_machine () =
   Alcotest.(check bool) "successes reset the consecutive count" true
     (Sh.Health.state h shard = Sh.Health.Breaker_closed);
   (* Metrics carry the transitions. *)
-  let m = Sh.Metrics.snapshot metrics in
-  Alcotest.(check int) "metrics opens" 2 m.Sh.Metrics.breaker_opens;
-  Alcotest.(check int) "metrics closes" 1 m.Sh.Metrics.breaker_closes;
+  Alcotest.(check int) "metrics opens" 2
+    (Sh.Metrics.Registry.get metrics.Sh.Metrics.breaker_opens);
+  Alcotest.(check int) "metrics closes" 1
+    (Sh.Metrics.Registry.get metrics.Sh.Metrics.breaker_closes);
   Sh.Health.forget h shard;
   Alcotest.(check (list string)) "forget drops the view" []
     (List.map (fun v -> v.Sh.Health.shard) (Sh.Health.views h))
@@ -188,11 +189,11 @@ let test_supervised_restart () =
         (wait_until (fun () -> Sh.Cluster.shard_alive t 1));
       Alcotest.(check int) "same port after restart" port_before
         (Sh.Cluster.shard_port t 1);
-      let snap = Sh.Cluster.snapshot t in
+      let m = Sh.Cluster.router_metrics t in
       Alcotest.(check bool) "restart counted" true
-        (snap.Sh.Metrics.restarts_total >= 1);
+        (Sh.Metrics.Registry.total m.Sh.Metrics.restarts >= 1);
       Alcotest.(check bool) "downtime recorded" true
-        (snap.Sh.Metrics.downtime_s > 0.);
+        (Sh.Metrics.Registry.getf m.Sh.Metrics.downtime > 0.);
       let evs = Mutex.lock mu; let e = !events in Mutex.unlock mu; e in
       Alcotest.(check bool) "down event observed" true
         (List.exists (function Sh.Cluster.Shard_down "s1" -> true | _ -> false) evs);

@@ -184,8 +184,8 @@ let test_chaos_digest_parity () =
           Alcotest.(check bool) "faults were actually injected" true
             (N.injected st >= 1));
       (* The server never saw a half-open mess it couldn't clean up. *)
-      let m = Tt_server.Metrics.snapshot (Srv.metrics srv) in
-      Alcotest.(check int) "no connections leaked" 0 m.connections_active)
+      Alcotest.(check int) "no connections leaked" 0
+        (Tt_server.Registry.get (Srv.metrics srv).connections_active))
 
 (* ------------------------------------------------------------- gates *)
 
@@ -203,8 +203,8 @@ let wait_until ?(timeout_s = 5.) pred =
 
 let no_leaked_connections srv =
   wait_until (fun () ->
-      (Tt_server.Metrics.snapshot (Srv.metrics srv)).Tt_server.Metrics
-        .connections_active = 0)
+      let m = Srv.metrics srv in
+      Tt_server.Registry.get m.Tt_server.Metrics.connections_active = 0)
 
 (* Severing is symmetric by construction — one gate cuts both
    directions at once. While severed every request dies as a transport

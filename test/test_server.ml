@@ -6,6 +6,7 @@
 module P = Tt_server.Protocol
 module Adm = Tt_server.Admission
 module M = Tt_server.Metrics
+module Reg = Tt_server.Registry
 module Srv = Tt_server.Server
 module C = Tt_server.Client
 module L = Tt_server.Loadgen
@@ -204,109 +205,162 @@ let test_admission_close () =
 
 let test_metrics_counters () =
   let m = M.create () in
-  M.connection_opened m;
-  M.connection_opened m;
-  M.connection_closed m;
-  M.request m `Solve;
-  M.request m `Solve;
-  M.request m `Ping;
-  M.request m `Stats;
-  M.response_ok m;
-  M.response_error m ~code:"overloaded";
-  M.response_error m ~code:"overloaded";
-  M.job m ~cache_hit:true ~error:false ~wall_s:0.5;
-  M.job m ~cache_hit:false ~error:true ~wall_s:0.25;
-  let s = M.snapshot m in
-  Alcotest.(check int) "opened" 2 s.M.connections_opened;
-  Alcotest.(check int) "active" 1 s.M.connections_active;
-  Alcotest.(check int) "solve" 2 s.M.requests_solve;
-  Alcotest.(check int) "ping" 1 s.M.requests_ping;
-  Alcotest.(check int) "stats" 1 s.M.requests_stats;
-  Alcotest.(check int) "ok" 1 s.M.responses_ok;
+  Reg.add m.M.connections_opened 2;
+  Reg.add m.M.connections_active 2;
+  Reg.add m.M.connections_active (-1);
+  Reg.add m.M.requests 2 ~labels:[ "solve" ];
+  Reg.add m.M.requests 1 ~labels:[ "ping" ];
+  Reg.add m.M.requests 1 ~labels:[ "stats" ];
+  Reg.add m.M.responses_ok 1;
+  Reg.add m.M.responses_error 2 ~labels:[ "overloaded" ];
+  Reg.add m.M.jobs 2;
+  Reg.add m.M.job_errors 1;
+  Reg.add m.M.job_cache_hits 1;
+  Reg.addf m.M.job_wall 0.5;
+  Reg.addf m.M.job_wall 0.25;
+  Alcotest.(check int) "opened" 2 (Reg.get m.M.connections_opened);
+  Alcotest.(check int) "active" 1 (Reg.get m.M.connections_active);
+  Alcotest.(check int) "solve" 2 (Reg.get m.M.requests ~labels:[ "solve" ]);
+  Alcotest.(check int) "ping" 1 (Reg.get m.M.requests ~labels:[ "ping" ]);
+  Alcotest.(check int) "stats" 1 (Reg.get m.M.requests ~labels:[ "stats" ]);
+  Alcotest.(check int) "ok" 1 (Reg.get m.M.responses_ok);
   Alcotest.(check bool) "errors by code" true
-    (s.M.errors = [ ("overloaded", 2) ]);
-  Alcotest.(check int) "jobs" 2 s.M.jobs;
-  Alcotest.(check int) "job errors" 1 s.M.job_errors;
-  Alcotest.(check int) "cache hits" 1 s.M.job_cache_hits;
-  Alcotest.(check (float 1e-9)) "job wall" 0.75 s.M.job_wall_s
+    (Reg.series m.M.responses_error = [ ([ "overloaded" ], 2) ]);
+  Alcotest.(check int) "jobs" 2 (Reg.get m.M.jobs);
+  Alcotest.(check int) "job errors" 1 (Reg.get m.M.job_errors);
+  Alcotest.(check int) "cache hits" 1 (Reg.get m.M.job_cache_hits);
+  Alcotest.(check (float 1e-9)) "job wall" 0.75 (Reg.getf m.M.job_wall);
+  Alcotest.check_raises "label count is checked"
+    (Invalid_argument
+       "Registry: wrong label count for tt_server_requests_total")
+    (fun () -> Reg.add m.M.requests 1)
 
 let test_metrics_latency () =
   let m = M.create ~latency_window:64 () in
   for i = 1 to 100 do
     M.observe_solve m ~latency_s:(float_of_int i /. 100.)
   done;
-  let s = M.snapshot m in
-  Alcotest.(check int) "lifetime count" 100 s.M.latency.M.count;
-  Alcotest.(check int) "window is the ring size" 64 s.M.latency.M.window;
-  Alcotest.(check (float 1e-9)) "lifetime max" 1.0 s.M.latency.M.max_s;
-  Alcotest.(check (float 1e-9)) "lifetime mean" 0.505 s.M.latency.M.mean_s;
+  let l = M.latency m in
+  Alcotest.(check int) "lifetime count" 100 l.M.count;
+  Alcotest.(check int) "window is the ring size" 64 l.M.window;
+  Alcotest.(check (float 1e-9)) "lifetime max" 1.0 l.M.max_s;
+  Alcotest.(check (float 1e-9)) "lifetime mean" 0.505 l.M.mean_s;
   Alcotest.(check bool) "percentiles ordered" true
-    (s.M.latency.M.p50_s <= s.M.latency.M.p95_s
-    && s.M.latency.M.p95_s <= s.M.latency.M.p99_s
-    && s.M.latency.M.p99_s <= s.M.latency.M.max_s)
+    (l.M.p50_s <= l.M.p95_s && l.M.p95_s <= l.M.p99_s && l.M.p99_s <= l.M.max_s)
 
+(* A fixed update sequence touching every family; the exposition text
+   and the [stats.metrics] JSON must stay byte for byte what they are
+   (dashboards and the benchmark parse both). *)
 let test_metrics_prometheus () =
   let m = M.create () in
-  M.request m `Solve;
-  M.response_error m ~code:"overloaded";
+  Reg.add m.M.connections_opened 1;
+  Reg.add m.M.connections_active 1;
+  Reg.add m.M.connections_opened 1;
+  Reg.add m.M.connections_active 1;
+  Reg.add m.M.connections_active (-1);
+  Reg.add m.M.requests 1 ~labels:[ "solve" ];
+  Reg.add m.M.responses_ok 1;
+  Reg.add m.M.responses_error 1 ~labels:[ "overloaded" ];
+  Reg.add m.M.jobs 1;
+  Reg.add m.M.job_cache_hits 1;
+  Reg.addf m.M.job_wall 0.5;
+  Reg.add m.M.jobs 1;
+  Reg.add m.M.job_errors 1;
+  Reg.addf m.M.job_wall 0.25;
   M.observe_solve m ~latency_s:0.5;
-  M.worker_restart m;
-  M.idle_eviction m;
-  M.replay_hit m;
-  M.write_overflow m;
-  M.shed m ~reason:"brownout" ~priority:"batch";
-  M.shed m ~reason:"limit" ~priority:"interactive";
-  M.shed m ~reason:"limit" ~priority:"interactive";
-  M.deadline_exceeded m;
-  M.set_admission m ~queue_depth:3 ~admitted:5 ~limit:8;
-  let text = M.to_prometheus (M.snapshot m) in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (H.contains text needle))
-    [ {|tt_server_requests_total{op="solve"} 1|};
-      {|tt_server_responses_error_total{code="overloaded"} 1|};
-      {|tt_server_solve_latency_seconds{quantile="0.5"} 0.5|};
-      "tt_server_solve_latency_seconds_count 1";
-      "# TYPE tt_server_requests_total counter";
-      "tt_server_worker_restarts_total 1";
-      "tt_server_idle_evictions_total 1";
-      "tt_server_replay_hits_total 1";
-      "tt_server_write_overflows_total 1";
-      {|tt_server_sheds_total{reason="brownout",priority="batch"} 1|};
-      {|tt_server_sheds_total{reason="limit",priority="interactive"} 2|};
-      "tt_server_deadline_exceeded_total 1";
-      "# TYPE tt_server_admission_queue_depth gauge";
-      "tt_server_admission_queue_depth 3";
-      "tt_server_admission_admitted 5";
-      "tt_server_admission_limit 8"
-    ]
+  Reg.add m.M.worker_restarts 1;
+  Reg.add m.M.idle_evictions 1;
+  Reg.add m.M.replay_hits 1;
+  Reg.add m.M.write_overflows 1;
+  Reg.add m.M.sheds 1 ~labels:[ "brownout"; "batch" ];
+  Reg.add m.M.sheds 1 ~labels:[ "limit"; "interactive" ];
+  Reg.add m.M.sheds 1 ~labels:[ "limit"; "interactive" ];
+  Reg.add m.M.deadline_exceeded 1;
+  Reg.set m.M.admission_queue_depth 3;
+  Reg.set m.M.admission_admitted 5;
+  Reg.set m.M.admission_limit 8;
+  Reg.set m.M.source_cache_hits 4;
+  Reg.set m.M.source_cache_misses 2;
+  Reg.set m.M.source_cache_evictions 1;
+  Alcotest.(check string) "exposition"
+    {|# TYPE tt_server_connections_opened_total counter
+tt_server_connections_opened_total 2
+# TYPE tt_server_connections_active gauge
+tt_server_connections_active 1
+# TYPE tt_server_requests_total counter
+tt_server_requests_total{op="solve"} 1
+tt_server_requests_total{op="stats"} 0
+tt_server_requests_total{op="ping"} 0
+tt_server_requests_total{op="shutdown"} 0
+tt_server_requests_total{op="peek"} 0
+tt_server_requests_total{op="health"} 0
+# TYPE tt_server_responses_ok_total counter
+tt_server_responses_ok_total 1
+# TYPE tt_server_responses_error_total counter
+tt_server_responses_error_total{code="overloaded"} 1
+# TYPE tt_server_jobs_total counter
+tt_server_jobs_total 2
+# TYPE tt_server_job_errors_total counter
+tt_server_job_errors_total 1
+# TYPE tt_server_job_cache_hits_total counter
+tt_server_job_cache_hits_total 1
+# TYPE tt_server_job_wall_seconds_total counter
+tt_server_job_wall_seconds_total 0.75
+# TYPE tt_server_source_cache_hits_total counter
+tt_server_source_cache_hits_total 4
+# TYPE tt_server_source_cache_misses_total counter
+tt_server_source_cache_misses_total 2
+# TYPE tt_server_source_cache_evictions_total counter
+tt_server_source_cache_evictions_total 1
+# TYPE tt_server_worker_restarts_total counter
+tt_server_worker_restarts_total 1
+# TYPE tt_server_idle_evictions_total counter
+tt_server_idle_evictions_total 1
+# TYPE tt_server_replay_hits_total counter
+tt_server_replay_hits_total 1
+# TYPE tt_server_write_overflows_total counter
+tt_server_write_overflows_total 1
+# TYPE tt_server_sheds_total counter
+tt_server_sheds_total{reason="brownout",priority="batch"} 1
+tt_server_sheds_total{reason="limit",priority="interactive"} 2
+# TYPE tt_server_deadline_exceeded_total counter
+tt_server_deadline_exceeded_total 1
+# TYPE tt_server_admission_queue_depth gauge
+tt_server_admission_queue_depth 3
+# TYPE tt_server_admission_admitted gauge
+tt_server_admission_admitted 5
+# TYPE tt_server_admission_limit gauge
+tt_server_admission_limit 8
+# TYPE tt_server_solve_latency_seconds summary
+tt_server_solve_latency_seconds{quantile="0.5"} 0.5
+tt_server_solve_latency_seconds{quantile="0.9"} 0.5
+tt_server_solve_latency_seconds{quantile="0.95"} 0.5
+tt_server_solve_latency_seconds{quantile="0.99"} 0.5
+tt_server_solve_latency_seconds_sum 0.5
+tt_server_solve_latency_seconds_count 1
+|} (M.to_prometheus m);
+  Alcotest.(check string) "stats json"
+    {|{"connections":{"opened":2,"active":1},"requests":{"solve":1,"stats":0,"ping":0,"shutdown":0,"peek":0,"health":0},"responses":{"ok":1,"errors":{"overloaded":1}},"jobs":{"total":2,"errors":1,"cache_hits":1,"wall_s":0.75,"source_cache_hits":4,"source_cache_misses":2,"source_cache_evictions":1},"resilience":{"worker_restarts":1,"idle_evictions":1,"replay_hits":1,"write_overflows":1},"overload":{"sheds":{"brownout/batch":1,"limit/interactive":2},"deadline_exceeded":1,"queue_depth":3,"admitted":5,"limit":8},"latency":{"count":1,"window":1,"mean_s":0.5,"p50_s":0.5,"p90_s":0.5,"p95_s":0.5,"p99_s":0.5,"max_s":0.5}}|}
+    (Tt_engine.Telemetry.Json.to_string (M.to_json m))
 
 (* Exposition-format conformance, via the shared checker in
    {!Helpers} (the shard tier's metrics run the same one). *)
 let test_prometheus_conformance () =
   let m = M.create () in
-  M.connection_opened m;
-  M.connection_closed m;
-  M.request m `Solve;
-  M.request m `Ping;
-  M.request m `Stats;
-  M.request m `Shutdown;
-  M.request m `Peek;
-  M.response_ok m;
-  M.response_error m ~code:"overloaded";
-  M.response_error m ~code:"bad_request";
-  M.job m ~cache_hit:true ~error:false ~wall_s:0.25;
-  M.job m ~cache_hit:false ~error:true ~wall_s:0.5;
+  Reg.add m.M.connections_opened 1;
+  List.iter
+    (fun op -> Reg.add m.M.requests 1 ~labels:[ op ])
+    [ "solve"; "ping"; "stats"; "shutdown"; "peek" ];
+  Reg.add m.M.responses_ok 1;
+  Reg.add m.M.responses_error 1 ~labels:[ "overloaded" ];
+  Reg.add m.M.responses_error 1 ~labels:[ "bad_request" ];
+  Reg.add m.M.jobs 2;
+  Reg.addf m.M.job_wall 0.75;
   M.observe_solve m ~latency_s:0.125;
-  M.worker_restart m;
-  M.idle_eviction m;
-  M.replay_hit m;
-  M.write_overflow m;
-  M.shed m ~reason:"queue_wait" ~priority:"interactive";
-  M.shed m ~reason:"brownout" ~priority:"batch";
-  M.deadline_exceeded m;
-  M.set_admission m ~queue_depth:2 ~admitted:4 ~limit:6;
-  H.check_prometheus_conformance ~min_samples:11 (M.to_prometheus (M.snapshot m))
+  Reg.add m.M.sheds 1 ~labels:[ "queue_wait"; "interactive" ];
+  Reg.add m.M.sheds 1 ~labels:[ "brownout"; "batch" ];
+  Reg.set m.M.admission_queue_depth 2;
+  H.check_prometheus_conformance ~min_samples:11 (M.to_prometheus m)
 
 (* ------------------------------------------------------------- replay *)
 
@@ -406,12 +460,15 @@ let test_concurrent_loadgen () =
       (* Server-side metrics agree with the client's observations:
          same request count, and the server's request latency (receipt
          to reply) cannot exceed what the client measured end-to-end. *)
-      let m = M.snapshot (Srv.metrics srv) in
-      Alcotest.(check int) "server counted every solve" 120 m.M.requests_solve;
-      Alcotest.(check int) "server replied ok to every solve" 120 m.M.responses_ok;
-      Alcotest.(check int) "server observed every latency" 120 m.M.latency.M.count;
+      let m = Srv.metrics srv in
+      let lat = M.latency m in
+      Alcotest.(check int) "server counted every solve" 120
+        (Reg.get m.M.requests ~labels:[ "solve" ]);
+      Alcotest.(check int) "server replied ok to every solve" 120
+        (Reg.get m.M.responses_ok);
+      Alcotest.(check int) "server observed every latency" 120 lat.M.count;
       Alcotest.(check bool) "server p50 <= client p50" true
-        (m.M.latency.M.p50_s <= s.L.p50_s +. 0.005))
+        (lat.M.p50_s <= s.L.p50_s +. 0.005))
 
 let test_loadgen_transport_breakdown () =
   (* A vacated port: every request dies at connect, and the summary
@@ -648,9 +705,11 @@ let test_partial_frame_reassembly () =
           | _ ->
               Alcotest.(check int) "no extra bytes" 0
                 (Unix.read fd buf 0 (Bytes.length buf)));
-          let m = M.snapshot (Srv.metrics srv) in
-          Alcotest.(check int) "decoded exactly one solve" 1 m.M.requests_solve;
-          Alcotest.(check int) "replied exactly once" 1 m.M.responses_ok))
+          let m = Srv.metrics srv in
+          Alcotest.(check int) "decoded exactly one solve" 1
+            (Reg.get m.M.requests ~labels:[ "solve" ]);
+          Alcotest.(check int) "replied exactly once" 1
+            (Reg.get m.M.responses_ok)))
 
 let test_idle_eviction () =
   let config = { Srv.default_config with Srv.idle_timeout_s = 0.2 } in
@@ -664,14 +723,14 @@ let test_idle_eviction () =
           (match C.recv c with
           | Error _ -> ()  (* EOF once evicted *)
           | Ok _ -> Alcotest.fail "unsolicited reply from idle server");
-          let m = M.snapshot (Srv.metrics srv) in
+          let m = Srv.metrics srv in
           Alcotest.(check bool) "eviction counted" true
-            (m.M.idle_evictions >= 1);
+            (Reg.get m.M.idle_evictions >= 1);
           (* The EOF the client just saw races the server's gauge
              decrement by a few microseconds — poll briefly. *)
           let deadline = Unix.gettimeofday () +. 2. in
           let rec active () =
-            let n = (M.snapshot (Srv.metrics srv)).M.connections_active in
+            let n = Reg.get m.M.connections_active in
             if n > 0 && Unix.gettimeofday () < deadline then begin
               Unix.sleepf 0.01;
               active ()
@@ -767,11 +826,12 @@ let test_replay_dedup () =
               Alcotest.(check string) "same results under a new key"
                 (P.sequence_digest first) (P.sequence_digest r)
           | Error e -> Alcotest.failf "fresh-key solve: %s" e);
-          let m = M.snapshot (Srv.metrics srv) in
-          Alcotest.(check int) "one replay hit" 1 m.M.replay_hits;
+          let m = Srv.metrics srv in
+          Alcotest.(check int) "one replay hit" 1 (Reg.get m.M.replay_hits);
           (* The replayed request never reached the engine: only two
              executions' worth of jobs ran. *)
-          Alcotest.(check int) "replay skipped the engine" 4 m.M.jobs))
+          Alcotest.(check int) "replay skipped the engine" 4
+            (Reg.get m.M.jobs)))
 
 let test_worker_crash_supervision () =
   (* Every admitted request rolls a 30% chance of killing its worker
@@ -808,11 +868,11 @@ let test_worker_crash_supervision () =
                 Alcotest.failf "request %d lost to faults: %s" i
                   (C.failure_to_string f)
           done);
-      let m = M.snapshot (Srv.metrics srv) in
+      let m = Srv.metrics srv in
       Alcotest.(check bool) "at least one worker restart" true
-        (m.M.worker_restarts >= 1);
+        (Reg.get m.M.worker_restarts >= 1);
       Alcotest.(check bool) "crashes were answered with internal" true
-        (List.mem_assoc "internal" m.M.errors))
+        (Reg.get m.M.responses_error ~labels:[ "internal" ] > 0))
 
 let test_worker_wedge_supervision () =
   (* Injected delays up to 1.5s against a 0.2s deadline and 0.15s
@@ -855,9 +915,8 @@ let test_worker_wedge_supervision () =
               Alcotest.(check bool) ("outcome " ^ k) true
                 (List.mem k [ "ok"; "deadline_exceeded"; "internal" ]))
             outcomes);
-      let m = M.snapshot (Srv.metrics srv) in
       Alcotest.(check bool) "wedged worker replaced" true
-        (m.M.worker_restarts >= 1))
+        (Reg.get (Srv.metrics srv).M.worker_restarts >= 1))
 
 let test_client_read_timeout () =
   (* A listener that accepts (via backlog) but never replies: the
@@ -1032,7 +1091,7 @@ let test_source_cache_stats () =
               Alcotest.(check int) "one miss" 1 (int_at "source_cache_misses");
               Alcotest.(check int) "two hits" 2 (int_at "source_cache_hits");
               Alcotest.(check int) "no evictions" 0 (int_at "source_cache_evictions");
-              let text = M.to_prometheus (M.snapshot (Srv.metrics srv)) in
+              let text = M.to_prometheus (Srv.metrics srv) in
               Alcotest.(check bool) "prometheus family" true
                 (H.contains text "tt_server_source_cache_hits_total 2")
           | _ -> Alcotest.fail "expected a stats reply"))

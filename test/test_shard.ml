@@ -7,6 +7,7 @@
 
 module R = Tt_shard.Ring
 module SM = Tt_shard.Metrics
+module Reg = Tt_server.Registry
 module Cl = Tt_shard.Cluster
 module SC = Tt_shard.Shard_client
 module P = Tt_server.Protocol
@@ -210,41 +211,89 @@ let test_peek_over_wire () =
 
 (* ------------------------------------------------------ shard metrics *)
 
+(* A fixed update sequence with a sample in every [tt_shard_*] family:
+   forwards, counters, one breaker open/half-open/close cycle driven
+   through {!Tt_shard.Health}, a restart and a ring-epoch change. The
+   exposition text and the router [stats] JSON must stay byte for byte
+   what they are. *)
 let test_shard_metrics () =
   let m = SM.create () in
   SM.forward m ~shard:"s0";
   SM.forward m ~shard:"s0";
   SM.forward m ~shard:"s1";
-  SM.failover m;
-  SM.reject m;
-  SM.peer_hit m;
-  SM.peer_miss m;
-  SM.hedge m ~outcome:"won";
-  SM.hedge m ~outcome:"won";
-  SM.hedge m ~outcome:"lost";
-  SM.deadline_reject m;
-  let s = SM.snapshot m in
-  Alcotest.(check int) "forwards total" 3 s.SM.forwards_total;
-  Alcotest.(check bool) "per-shard forwards" true
-    (s.SM.forwards = [ ("s0", 2); ("s1", 1) ]);
-  Alcotest.(check int) "failovers" 1 s.SM.failovers;
-  let text = SM.to_prometheus s in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (H.contains text needle))
-    [ {|tt_shard_forwards_total{shard="s0"} 2|};
-      {|tt_shard_forwards_total{shard="s1"} 1|};
-      "tt_shard_failovers_total 1";
-      "tt_shard_rejects_total 1";
-      "tt_shard_unrouted_total 0";
-      "tt_shard_peer_hits_total 1";
-      "tt_shard_peer_misses_total 1";
-      {|tt_shard_hedges_total{outcome="won"} 2|};
-      {|tt_shard_hedges_total{outcome="lost"} 1|};
-      "tt_shard_deadline_exceeded_total 1"
-    ];
+  Reg.add m.SM.failovers 1;
+  Reg.add m.SM.rejects 1;
+  Reg.add m.SM.peer_hits 1;
+  Reg.add m.SM.peer_misses 1;
+  Reg.add m.SM.hedges 1 ~labels:[ "won" ];
+  Reg.add m.SM.hedges 1 ~labels:[ "won" ];
+  Reg.add m.SM.hedges 1 ~labels:[ "lost" ];
+  Reg.add m.SM.deadline_rejects 1;
+  let module Health = Tt_shard.Health in
+  let clock = ref 0. in
+  let retry =
+    Tt_engine.Retry.create ~retries:2 ~base_delay_s:0.1 ~max_delay_s:0.4
+      ~jitter:0. ~seed:1 ()
+  in
+  let h = Health.create ~retry ~now:(fun () -> !clock) ~metrics:m () in
+  for _ = 1 to Health.default_threshold do
+    Health.failure h "s1"
+  done;
+  Alcotest.(check int) "open gauge" 1
+    (Reg.get m.SM.breaker_state ~labels:[ "s1" ]);
+  clock := 1.;
+  Alcotest.(check bool) "half-open trial" true (Health.allow h "s1");
+  Alcotest.(check int) "half-open gauge" 2
+    (Reg.get m.SM.breaker_state ~labels:[ "s1" ]);
+  Health.success h "s1";
+  Reg.add m.SM.restarts 1 ~labels:[ "s1" ];
+  Reg.addf m.SM.downtime 0.25;
+  Reg.set m.SM.ring_epoch 1;
+  let text = Reg.to_prometheus m.SM.registry in
+  Alcotest.(check string) "exposition"
+    {|# TYPE tt_shard_forwards_total counter
+tt_shard_forwards_total{shard="s0"} 2
+tt_shard_forwards_total{shard="s1"} 1
+# TYPE tt_shard_failovers_total counter
+tt_shard_failovers_total 1
+# TYPE tt_shard_rejects_total counter
+tt_shard_rejects_total 1
+# TYPE tt_shard_unrouted_total counter
+tt_shard_unrouted_total 0
+# TYPE tt_shard_peer_hits_total counter
+tt_shard_peer_hits_total 1
+# TYPE tt_shard_peer_misses_total counter
+tt_shard_peer_misses_total 1
+# TYPE tt_shard_breaker_opens_total counter
+tt_shard_breaker_opens_total 1
+# TYPE tt_shard_breaker_closes_total counter
+tt_shard_breaker_closes_total 1
+# TYPE tt_shard_breaker_state gauge
+tt_shard_breaker_state{shard="s1"} 0
+# TYPE tt_shard_restarts_total counter
+tt_shard_restarts_total{shard="s1"} 1
+# TYPE tt_shard_hedges_total counter
+tt_shard_hedges_total{outcome="lost"} 1
+tt_shard_hedges_total{outcome="won"} 2
+# TYPE tt_shard_deadline_exceeded_total counter
+tt_shard_deadline_exceeded_total 1
+# TYPE tt_shard_downtime_seconds_total counter
+tt_shard_downtime_seconds_total 0.25
+# TYPE tt_shard_ring_epoch gauge
+tt_shard_ring_epoch 1
+|} text;
+  Alcotest.(check string) "stats json"
+    {|{"forwards":{"s0":2,"s1":1},"forwards_total":3,"failovers":1,"rejects":1,"unrouted":0,"peer_hits":1,"peer_misses":1,"breaker_opens":1,"breaker_closes":1,"breaker_states":{"s1":0},"restarts":{"s1":1},"restarts_total":1,"hedges":{"lost":1,"won":2},"deadline_rejects":1,"downtime_s":0.25,"ring_epoch":1}|}
+    (Tt_engine.Telemetry.Json.to_string (SM.to_json m));
   (* Same exposition-format conformance gate as the server metrics. *)
-  H.check_prometheus_conformance ~min_samples:7 text
+  H.check_prometheus_conformance ~min_samples:7 text;
+  (* The cluster-wide exposition starts from a copy of the router's. *)
+  let copy = SM.create () in
+  Reg.copy ~src:m.SM.registry copy.SM.registry;
+  Alcotest.(check string) "copy" text (Reg.to_prometheus copy.SM.registry);
+  Health.forget h "s1";
+  Alcotest.(check bool) "forget drops the gauge" true
+    (Reg.series m.SM.breaker_state = [])
 
 (* ------------------------------------------------------------ cluster *)
 
@@ -281,11 +330,11 @@ let test_cluster_failover_digest_parity () =
   Alcotest.(check int) "cluster: zero lost admitted requests" 40 s3.L.ok;
   Alcotest.(check int) "cluster: no transport errors" 0 s3.L.transport_errors;
   Alcotest.(check bool) "cluster: no refusals" true (s3.L.errors = []);
-  let snap = Cl.snapshot c in
+  let m = Cl.router_metrics c in
   Alcotest.(check bool) "shard was killed" false (Cl.shard_alive c 1);
   Alcotest.(check bool) "observed at least one failover" true
-    (snap.SM.failovers >= 1);
-  Alcotest.(check int) "nothing unroutable" 0 snap.SM.unrouted;
+    (Reg.get m.SM.failovers >= 1);
+  Alcotest.(check int) "nothing unroutable" 0 (Reg.get m.SM.unrouted);
   match (s1.L.value_digest, s3.L.value_digest) with
   | Some a, Some b -> Alcotest.(check string) "value digest parity" a b
   | _ -> Alcotest.fail "missing value digest"
@@ -337,9 +386,12 @@ let test_cluster_cache_peering () =
               | Some r ->
                   Alcotest.(check bool) "peered job is a cache hit" true
                     r.P.cache_hit));
-      let snap = Cl.snapshot c in
+      let peer_hits =
+        List.init (Cl.size c) (fun i ->
+            Reg.get (Cl.peer_metrics c i).SM.peer_hits)
+      in
       Alcotest.(check bool) "at least one peer hit" true
-        (snap.SM.peer_hits >= 1))
+        (List.fold_left ( + ) 0 peer_hits >= 1))
 
 (* The shard-aware client routes directly on the ring (no router hop)
    and agrees with the routed path on results. *)
@@ -369,7 +421,7 @@ let test_shard_client_direct () =
       Alcotest.(check int) "direct: no transport errors" 0
         direct.L.transport_errors;
       Alcotest.(check bool) "direct routing reached the shards" true
-        ((SM.snapshot metrics).SM.forwards_total >= 40);
+        (Reg.total metrics.SM.forwards >= 40);
       match (routed.L.value_digest, direct.L.value_digest) with
       | Some a, Some b ->
           Alcotest.(check string) "router and direct agree" a b
